@@ -129,6 +129,29 @@ class ChoiMatrix:
         return self.is_hermitian_preserving(tol) and self.min_eigenvalue() >= -tol.eps
 
 
+def _tensor(m) -> np.ndarray:
+    """Four-index view of a Superoperator or ChoiMatrix, the one place their layouts live.
+
+    Both forms store E(|i><j|)[a, b]: the superoperator (column-stacked vec)
+    at S[a + b*d_out, i + j*d_in], viewed here as S4[b, a, j, i] of shape
+    (d_out, d_out, d_in, d_in); the Choi matrix at C[i*d_out + a, j*d_out + b],
+    viewed as C4[i, a, j, b] of shape (d_in, d_out, d_in, d_out).
+    """
+    if isinstance(m, Superoperator):
+        return m.mat.reshape(m.d_out, m.d_out, m.d_in, m.d_in)
+    return m.mat.reshape(m.d_in, m.d_out, m.d_in, m.d_out)
+
+
+def _reshuffle(m) -> np.ndarray:
+    """Matrix of the other form: the Choi matrix of a Superoperator and vice versa.
+
+    transpose(3, 1, 2, 0) swaps i and b, which takes S4 to C4 and, being its
+    own inverse, C4 to S4 (Wood, Biamonte & Cory, arXiv:1111.6950).
+    """
+    t = _tensor(m).transpose(3, 1, 2, 0)
+    return t.reshape(t.shape[0] * t.shape[1], -1)
+
+
 def apply_map(m, rho) -> np.ndarray:
     """Evaluate a map (in any form) on a matrix."""
     r = matkit.require_square(rho)
@@ -146,13 +169,7 @@ def apply_map(m, rho) -> np.ndarray:
     if isinstance(m, ChoiMatrix):
         if r.shape[0] != m.d_in:
             raise ValueError(f"operand dimension {r.shape[0]} != map input {m.d_in}")
-        d_out = m.d_out
-        out = np.zeros((d_out, d_out), dtype=complex)
-        for i in range(m.d_in):
-            for j in range(m.d_in):
-                block = m.mat[i * d_out:(i + 1) * d_out, j * d_out:(j + 1) * d_out]
-                out += r[i, j] * block
-        return out
+        return np.einsum("ij,iajb->ab", r, _tensor(m))
     raise TypeError(f"not a map form: {type(m).__name__}")
 
 
@@ -166,13 +183,7 @@ def superop_from_map(m) -> Superoperator:
             acc += np.kron(k.conj(), k)
         return Superoperator(acc, d_in=m.d_in, d_out=m.d_out)
     if isinstance(m, ChoiMatrix):
-        cols = []
-        for j in range(m.d_in):
-            for i in range(m.d_in):
-                unit = np.zeros((m.d_in, m.d_in), dtype=complex)
-                unit[i, j] = 1.0
-                cols.append(vec(apply_map(m, unit)))
-        return Superoperator(np.column_stack(cols), d_in=m.d_in, d_out=m.d_out)
+        return Superoperator(_reshuffle(m), d_in=m.d_in, d_out=m.d_out)
     raise TypeError(f"not a map form: {type(m).__name__}")
 
 
@@ -187,14 +198,7 @@ def choi_from_map(m) -> ChoiMatrix:
             c += np.outer(w, w.conj())
         return ChoiMatrix(c, d_in=m.d_in, d_out=m.d_out)
     if isinstance(m, Superoperator):
-        d_in, d_out = m.d_in, m.d_out
-        c = np.zeros((d_in * d_out,) * 2, dtype=complex)
-        for i in range(d_in):
-            for j in range(d_in):
-                unit = np.zeros((d_in, d_in), dtype=complex)
-                unit[i, j] = 1.0
-                c[i * d_out:(i + 1) * d_out, j * d_out:(j + 1) * d_out] = apply_map(m, unit)
-        return ChoiMatrix(c, d_in=d_in, d_out=d_out)
+        return ChoiMatrix(_reshuffle(m), d_in=m.d_in, d_out=m.d_out)
     raise TypeError(f"not a map form: {type(m).__name__}")
 
 
@@ -236,15 +240,9 @@ def adjoint(m):
     """Trace-pairing dual: tr(apply(m, rho) F) == tr(rho apply(adjoint(m), F)) for all rho, F."""
     if isinstance(m, KrausChannel):
         return KrausChannel(tuple(dagger(k) for k in m.kraus), d_in=m.d_out, d_out=m.d_in)
-    s = superop_from_map(m)
-    cols = []
-    for j in range(s.d_out):
-        for i in range(s.d_out):
-            unit = np.zeros((s.d_out, s.d_out), dtype=complex)
-            unit[i, j] = 1.0
-            dual = unvec(s.mat.T @ vec(unit.T)).T
-            cols.append(vec(dual))
-    return Superoperator(np.column_stack(cols), d_in=s.d_out, d_out=s.d_in)
+    # adjoint(E)(|a><b|)[i, j] = E(|j><i|)[b, a]: reverse all four superoperator indices.
+    dual = _tensor(superop_from_map(m)).transpose(3, 2, 1, 0)
+    return Superoperator(dual.reshape(m.d_in ** 2, m.d_out ** 2), d_in=m.d_out, d_out=m.d_in)
 
 
 def pullback_povm(m, p, tol: Tolerances = DEFAULT_TOL):
@@ -290,19 +288,12 @@ def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
 
 def transpose_superoperator(d: int) -> Superoperator:
     """The positive but not completely positive map rho -> rho^T."""
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[i + j * d, j + i * d] = 1.0
-    return Superoperator(s, d_in=d, d_out=d)
+    # vec(rho^T) is vec(rho) with its two d-dimensional index factors swapped.
+    swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+    return Superoperator(swap.reshape(d * d, d * d), d_in=d, d_out=d)
 
 
 def completely_depolarizing(d: int) -> KrausChannel:
     """rho -> tr(rho) I/d."""
-    ops = []
-    for a in range(d):
-        for ell in range(d):
-            k = np.zeros((d, d), dtype=complex)
-            k[a, ell] = 1.0 / np.sqrt(d)
-            ops.append(k)
-    return KrausChannel(tuple(ops), d_in=d, d_out=d)
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return KrausChannel(tuple(units / np.sqrt(d)), d_in=d, d_out=d)

@@ -201,9 +201,7 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _parse_dims(raw: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
-    if raw is None:
-        return default
+def _parse_dims(raw: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in raw.split(",") if part.strip())
     except ValueError:
@@ -213,25 +211,32 @@ def _parse_dims(raw: str | None, default: tuple[int, ...]) -> tuple[int, ...]:
     return dims
 
 
+def _parse_trials(raw: str) -> int:
+    try:
+        trials = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad --trials value {raw!r}") from None
+    if trials < 1:
+        raise argparse.ArgumentTypeError("--trials needs an integer >= 1")
+    return trials
+
+
 def cmd_suite(args) -> int:
     tol = _tolerances(args)
     seed = args.seed
     names = ["nosignal", "linearity", "lemma"] if args.name == "all" else [args.name]
+    # --trials / --dims left unset fall back to each suite runner's own defaults.
+    sizes = {key: value for key, value in (("trials", args.trials), ("dims", args.dims))
+             if value is not None}
     reports = []
     for name in names:
         if name == "nosignal":
-            rep = harness.run_nosignal_suite(
-                trials=args.trials or 200, seed=seed,
-                dims=_parse_dims(args.dims, (2, 3)), tol=tol)
+            rep = harness.run_nosignal_suite(seed=seed, tol=tol, **sizes)
         elif name == "linearity":
             nonlinear = harness.nonlinear_square_map if args.demo_nonlinear else None
-            rep = harness.run_linearity_suite(
-                trials=args.trials or 100, seed=seed,
-                dims=_parse_dims(args.dims, (2, 3)), nonlinear=nonlinear, tol=tol)
+            rep = harness.run_linearity_suite(seed=seed, nonlinear=nonlinear, tol=tol, **sizes)
         else:
-            rep = harness.run_lemma_suite(
-                trials=args.trials or 200, seed=seed,
-                dims=_parse_dims(args.dims, (2, 3, 4, 5)), tol=tol)
+            rep = harness.run_lemma_suite(seed=seed, tol=tol, **sizes)
         reports.append(rep)
         _report(rep.to_dict())
         status = "pass" if rep.passed else f"FAIL ({len(rep.witnesses)} witnesses)"
@@ -324,9 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", parents=[common], help="run a property suite")
     p.add_argument("name", choices=["nosignal", "linearity", "lemma", "all"])
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_parse_trials, default=None)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dims", default=None, help="comma-separated dimensions, e.g. 2,3")
+    p.add_argument("--dims", type=_parse_dims, default=None,
+                   help="comma-separated dimensions, e.g. 2,3")
     p.add_argument("--demo-nonlinear", action="store_true",
                    help="inject the rho -> rho^2/tr(rho^2) black box into the "
                         "linearity suite; it must produce a witness")

@@ -121,13 +121,12 @@ def decompose(b: KrausChannel, f: Effect, check: bool = True,
     d, d_out = f.dim, b.d_out
     ops = [k @ supp.pinv_sqrt for k in b.kraus]
     kernel_w, kernel_v = matkit.eigh_desc(supp.kernel, tol)
-    for idx in range(d):
-        if kernel_w[idx] > 0.5:  # projector spectrum is {0, 1}
-            bra = kernel_v[:, idx].conj()
-            for a in range(d_out):
-                k = np.zeros((d_out, d), dtype=complex)
-                k[a, :] = bra / np.sqrt(d_out)
-                ops.append(k)
+    bras = kernel_v[:, kernel_w > 0.5].conj().T  # projector spectrum is {0, 1}
+    # Operator (idx, a) has row a = bra_idx / sqrt(d_out) and zeros elsewhere.
+    block = np.zeros((len(bras), d_out, d_out, d), dtype=complex)
+    rows = np.arange(d_out)
+    block[:, rows, rows, :] = bras[:, None, :] / np.sqrt(d_out)
+    ops.extend(block.reshape(-1, d_out, d))
     result = KrausChannel(tuple(ops), d_in=d, d_out=d_out)
     if check:
         tp_residual = float(np.max(np.abs(result.completeness() - np.eye(d))))

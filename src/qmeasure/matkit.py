@@ -137,6 +137,18 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
     return np.einsum("kakb->ab", t)
 
 
+def _psd_eigh(a, tol: Tolerances) -> HermitianDecomposition:
+    """eigh_desc of a matrix checked Hermitian and PSD within eps."""
+    m = require_square(a)
+    if not is_hermitian(m, tol.eps):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    dec = eigh_desc(m, tol)
+    low = float(dec.eigenvalues.min())
+    if low < -tol.eps:
+        raise NotPSDError(f"eigenvalue {low:.3e} is below -eps = {-tol.eps:.1e}")
+    return dec
+
+
 def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix.
 
@@ -146,13 +158,7 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     psd_support's (a sqrt would otherwise amplify 1e-16 assembly noise into
     1e-8 kernel components).
     """
-    m = require_square(a)
-    if not is_hermitian(m, tol.eps):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = eigh_desc(m, tol)
-    low = float(w.min())
-    if low < -tol.eps:
-        raise NotPSDError(f"eigenvalue {low:.3e} is below -eps = {-tol.eps:.1e}")
+    w, v = _psd_eigh(a, tol)
     w = np.where(w > tol.rank_cutoff(float(w.max())), w, 0.0)
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))
 
@@ -172,18 +178,12 @@ def psd_support(a, rank_tol: float | None = None,
     pinv_sqrt vanishes on the kernel and satisfies
     pinv_sqrt @ a @ pinv_sqrt == support projector.
     """
-    m = require_square(a)
-    if not is_hermitian(m, tol.eps):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = eigh_desc(m, tol)
-    low = float(w.min())
-    if low < -tol.eps:
-        raise NotPSDError(f"eigenvalue {low:.3e} is below -eps = {-tol.eps:.1e}")
+    w, v = _psd_eigh(a, tol)
     cutoff = tol.rank_cutoff(float(w.max())) if rank_tol is None else float(rank_tol)
     mask = w > cutoff
     vs = v[:, mask]
     support = vs @ dagger(vs)
-    kernel = np.eye(m.shape[0], dtype=complex) - support
+    kernel = np.eye(w.size, dtype=complex) - support
     inv_sqrt = np.zeros_like(w)
     inv_sqrt[mask] = 1.0 / np.sqrt(w[mask])
     pinv_sqrt = (v * inv_sqrt) @ dagger(v)

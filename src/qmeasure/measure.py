@@ -34,7 +34,9 @@ class Effect:
         m = matkit.hermitian_part(m)
         w = np.linalg.eigvalsh(m)
         if float(w.min()) < -eps or float(w.max()) > 1.0 + eps:
-            raise ValueError(f"effect spectrum [{w.min():.6g}, {w.max():.6g}] leaves [0, 1]")
+            excess = max(-float(w.min()), float(w.max()) - 1.0)
+            raise ValueError(
+                f"effect spectrum leaves [0, 1] by {excess:.3e} (eps = {eps:.3e})")
         object.__setattr__(self, "mat", matkit.freeze(m))
 
     @property

@@ -186,13 +186,16 @@ def test_adjoint_duality_general_superoperator():
     rng = np.random.default_rng(35)
     s = Superoperator(rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)),
                       d_in=2, d_out=3)
-    dual = adjoint(s)
-    for _ in range(20):
-        rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        lhs = np.trace(apply_map(s, rho) @ f)
-        rhs = np.trace(rho @ apply_map(dual, f))
-        assert abs(lhs - rhs) <= 1e-10
+    c = ChoiMatrix(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)),
+                   d_in=2, d_out=3)
+    for m in (s, c):
+        dual = adjoint(m)
+        for _ in range(20):
+            rho = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            lhs = np.trace(apply_map(m, rho) @ f)
+            rhs = np.trace(rho @ apply_map(dual, f))
+            assert abs(lhs - rhs) <= 1e-10
 
 
 def z_basis_povm():
@@ -283,11 +286,16 @@ def test_linearity_kraus():
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_superoperator_choi_conversion_consistency():
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+def test_superoperator_choi_conversion_consistency(dims):
+    d_in, d_out = dims
     rng = np.random.default_rng(47)
-    ch = harness.random_cptp(2, 3, 2, rng)
+    ch = harness.random_cptp(d_in, d_out, 2, rng)
     s = superop_from_map(ch)
+    oracle = choi_oracle(s, d_in, d_out)
     c_from_s = choi_from_map(s)
+    np.testing.assert_allclose(c_from_s.mat, oracle, atol=1e-12)
     np.testing.assert_allclose(c_from_s.mat, choi_from_map(ch).mat, atol=1e-12)
-    back = superop_from_map(c_from_s)
+    back = superop_from_map(ChoiMatrix(oracle, d_in=d_in, d_out=d_out))
     np.testing.assert_allclose(back.mat, s.mat, atol=1e-12)
+    np.testing.assert_allclose(superop_from_map(c_from_s).mat, s.mat, atol=1e-12)

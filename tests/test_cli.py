@@ -294,6 +294,17 @@ def test_suite_linearity_with_nonlinear_box_exits_3(capsys):
     assert report["witnesses"], "expected a signaling witness in the report"
 
 
+@pytest.mark.parametrize("bad", [["--trials", "0"], ["--trials", "-5"], ["--dims", "1"]])
+def test_suite_rejects_bad_trials_and_dims_as_usage_errors(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "nosignal", *bad])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {bad[0]}:" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_suite_reports_are_seed_stable(capsys):
     assert main(["suite", "nosignal", "--trials", "10", "--seed", "1"]) == 0
     first = capsys.readouterr().out

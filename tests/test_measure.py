@@ -61,6 +61,8 @@ def test_effect_spectrum_checked():
         Effect(np.diag([1.5, 0.0]))
     with pytest.raises(ValueError):
         Effect(np.diag([-0.2, 0.0]))
+    with pytest.raises(ValueError, match=r"by 1\.900e-09 \(eps = 1\.000e-09\)"):
+        Effect(np.diag([0.5, 1.0 + 1.9e-9]))
 
 
 def test_povm_completeness_checked():
