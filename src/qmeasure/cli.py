@@ -139,11 +139,11 @@ def cmd_decompose(args) -> int:
         return EXIT_INVARIANT
     try:
         premise = decomposition.verify_premise(channel, effect, tol=tol)
-        conditional = decomposition.decompose(channel, effect, tol=tol)
+        conditional = decomposition.decompose(channel, effect, check=False, tol=tol)
     except PremiseViolatedError as exc:
         _say(f"premise violated: {exc}")
         return EXIT_INVARIANT
-    recon = decomposition.reconstruction_residual(channel, effect, conditional, tol=tol)
+    recon = decomposition._check_decomposition(channel, effect, conditional, tol)
     _report({"command": "decompose", "label": args.label,
              "effect": serialize.matrix_payload(effect.mat),
              "conditional_kraus": [serialize.matrix_payload(k) for k in conditional.kraus],
@@ -199,6 +199,24 @@ def cmd_evolve(args) -> int:
     _report({"command": "evolve", "out": args.out,
              "state": serialize.matrix_payload(evolved.mat)})
     return EXIT_OK
+
+
+def _parse_tolerance(raw: str, option: str, field: str) -> float:
+    """A float that Tolerances accepts as `field`, so one policy guards both."""
+    try:
+        value = float(raw)
+        Tolerances(**{field: value})
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad {option} value {raw!r}: {exc}") from None
+    return value
+
+
+def _parse_eps(raw: str) -> float:
+    return _parse_tolerance(raw, "--tol", "eps")
+
+
+def _parse_rank_tol(raw: str) -> float:
+    return _parse_tolerance(raw, "--rank-tol", "rank_tol_factor")
 
 
 def _parse_dims(raw: str) -> tuple[int, ...]:
@@ -268,13 +286,13 @@ def cmd_demo(args) -> int:
     outcome_info = []
     for label, channel in inst.outcomes:
         effect = povm.effect(label)
-        conditional = decomposition.decompose(channel, effect, tol=tol)
+        conditional = decomposition.decompose(channel, effect, check=False, tol=tol)
         outcome_info.append({
             "label": label,
             "effect": serialize.matrix_payload(effect.mat),
             "kraus_rank": decomposition.kraus_rank(channel, tol),
             "reconstruction_residual":
-                decomposition.reconstruction_residual(channel, effect, conditional, tol=tol),
+                decomposition._check_decomposition(channel, effect, conditional, tol),
         })
     _report({"command": "demo", "which": args.which, "outcomes": outcome_info})
     for info in outcome_info:
@@ -285,9 +303,9 @@ def cmd_demo(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_parse_eps, default=1e-9,
                         help="absolute comparison tolerance (default 1e-9)")
-    common.add_argument("--rank-tol", type=float, default=1e-9,
+    common.add_argument("--rank-tol", type=_parse_rank_tol, default=1e-9,
                         help="relative rank cutoff factor (default 1e-9)")
 
     parser = argparse.ArgumentParser(

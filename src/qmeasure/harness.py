@@ -459,7 +459,7 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
         e0 = random_cptp(d, d, int(rng.integers(1, d + 1)), rng, tol)
         root = matkit.psd_sqrt(f.mat, tol)
         b = KrausChannel(tuple(k @ root for k in e0.kraus), d_in=d, d_out=d)
-        premise = verify_premise(b, f, seed=trial_seed, tol=tol)
+        premise = verify_premise(b, f, tol=tol)
         e = decompose(b, f, check=False, tol=tol)
         recon = reconstruction_residual(b, f, e, seed=trial_seed, tol=tol)
         tp_res = float(np.max(np.abs(e.completeness() - np.eye(d))))

@@ -3,6 +3,7 @@ tensor product, partial trace, and polar decomposition."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +18,13 @@ class Tolerances:
 
     eps: float = 1e-9
     rank_tol_factor: float = 1e-9
+
+    def __post_init__(self):
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps!r}")
+        if not (math.isfinite(self.rank_tol_factor) and self.rank_tol_factor >= 0):
+            raise ValueError(
+                f"rank_tol_factor must be finite and >= 0, got {self.rank_tol_factor!r}")
 
     def rank_cutoff(self, lam_max: float) -> float:
         """Absolute eigenvalue cutoff for rank decisions, scaled to lam_max."""

@@ -62,8 +62,8 @@ def _emit(node, out: list) -> None:
 
 def matrix_payload(m) -> list:
     """Row-major nested lists with [re, im] complex entries."""
-    return [[[float(z.real), float(z.imag)] for z in row]
-            for row in np.asarray(m, dtype=complex)]
+    a = np.asarray(m, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def to_payload(obj) -> dict:
@@ -150,10 +150,14 @@ def _parse_kraus_list(node, d_in: int, d_out: int, what: str) -> list:
     return ops
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"invalid JSON: non-standard literal {name}")
+
+
 def parse_text(text: str) -> dict:
     """Syntactic pass: JSON, kind, and shapes.  Raises ParseError only."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):

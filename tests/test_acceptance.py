@@ -42,7 +42,7 @@ def lemma_corpus():
             e0 = harness.random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
             root = matkit.psd_sqrt(f.mat)
             b = KrausChannel.from_ops([k @ root for k in e0.kraus])
-            premise = verify_premise(b, f, seed=trial)
+            premise = verify_premise(b, f)
             e = decompose(b, f, check=False)
             stats["recon"] = max(stats["recon"],
                                  reconstruction_residual(b, f, e, seed=trial))

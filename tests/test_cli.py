@@ -64,6 +64,28 @@ def test_verify_valid_povm(tmp_path, capsys):
     assert report["ok"] and report["kind"] == "povm"
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_verify_rejects_non_standard_json_literals_as_parse_errors(literal, tmp_path, capsys):
+    path = tmp_path / "rho.json"
+    path.write_text('{"kind": "density", "dim": 1, "data": {"mat": [[[%s, 0.0]]]}}' % literal)
+    assert main(["verify", str(path)]) == 1
+    report = last_json(capsys)
+    assert report["ok"] is False
+    assert literal in report["error"]
+
+
+@pytest.mark.parametrize("bad", [["--tol", "nan"], ["--tol", "-1"], ["--rank-tol", "inf"]])
+def test_tolerance_options_reject_bad_values_as_usage_errors(bad, tmp_path, capsys):
+    path = write(tmp_path / "povm.json", z_povm())
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", path, *bad])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {bad[0]}:" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_verify_incomplete_povm_exits_2(tmp_path, capsys):
     payload = serialize.to_payload(z_povm())
     for outcome in payload["data"]["outcomes"]:

@@ -8,6 +8,7 @@ from qmeasure.channels import (KrausChannel, apply_map, choi_from_map,
 from qmeasure.errors import PremiseViolatedError
 from qmeasure.decomposition import (decompose, kraus_rank, reconstruction_residual,
                             verify_premise)
+from qmeasure.matkit import Tolerances
 from qmeasure.measure import Effect, induced_povm
 from qmeasure.states import DensityOperator
 
@@ -53,6 +54,28 @@ def test_premise_vanishing_terms_for_rank_deficient_effect():
         report = verify_premise(b, f)
         assert report.kernel_residual <= 1e-10
         assert report.cross_residual <= 1e-10
+
+
+def test_premise_bounds_cover_sampled_terms_of_perturbed_map():
+    # a 1e-5 perturbation makes both terms nonzero; eps = 1e-3 lets the
+    # trace pairing still pass, so the bounds can be compared with samples
+    tol = Tolerances(eps=1e-3)
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4, 5):
+        f = harness.random_effect(d, rng, zero_eigenvalues=d // 2)
+        exact = compose_with_luders(harness.random_cptp(d, d, 2, rng), f.mat)
+        b = KrausChannel.from_ops(
+            [k + 1e-5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+             for k in exact.kraus])
+        report = verify_premise(b, f, tol=tol)
+        assert report.kernel_residual > 1e-13 and report.cross_residual > 1e-8
+        supp = matkit.psd_support(f.mat, tol=tol)
+        for _ in range(50):
+            rho = harness.random_density(d, rng).mat
+            kern = supp.kernel @ rho @ supp.kernel
+            cross = supp.support @ rho @ supp.kernel + supp.kernel @ rho @ supp.support
+            assert matkit.frob_norm(apply_map(b, kern)) <= report.kernel_residual
+            assert matkit.frob_norm(apply_map(b, cross)) <= report.cross_residual
 
 
 def test_decompose_full_rank_luders_gives_identity():

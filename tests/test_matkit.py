@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qmeasure.errors import NotPSDError
-from qmeasure.matkit import (DEFAULT_TOL, eigh_desc, partial_trace,
+from qmeasure.matkit import (DEFAULT_TOL, Tolerances, eigh_desc, partial_trace,
                              polar_decompose, psd_sqrt, psd_support,
                              tensor_product, trace_norm)
 
@@ -224,6 +224,45 @@ def test_eigh_desc_deterministic():
     w2, v2 = eigh_desc(a)
     np.testing.assert_array_equal(v1, v2)
     np.testing.assert_array_equal(w1, w2)
+
+
+@pytest.mark.parametrize("a, values, columns", [
+    # exact ties: the vector whose first nonzero entry comes first leads
+    (np.diag([0.5, 1.0, 0.5, 1.0]), [1.0, 1.0, 0.5, 0.5], [1, 3, 0, 2]),
+    (np.diag([0.0, 2.0, 0.0]), [2.0, 0.0, 0.0], [1, 0, 2]),
+    # eigenvalues equal to 12 decimals tie, so input position decides,
+    # not the larger eigenvalue
+    (np.diag([0.5, 0.5 + 1e-14, 0.25]), [0.5, 0.5 + 1e-14, 0.25], [0, 1, 2]),
+])
+def test_eigh_desc_orders_degenerate_unit_vectors(a, values, columns):
+    w, v = eigh_desc(a)
+    np.testing.assert_array_equal(w, values)
+    np.testing.assert_array_equal(v, np.eye(len(values))[:, columns])
+
+
+def test_eigh_desc_orders_degenerate_blocks_after_phase_fixing():
+    # two copies of |+><+|: each eigenvalue is doubly degenerate across blocks
+    a = np.kron(np.eye(2), np.full((2, 2), 0.5))
+    w, v = eigh_desc(a)
+    np.testing.assert_allclose(w, [1.0, 1.0, 0.0, 0.0], atol=1e-12)
+    plus = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
+    minus = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2)
+    expected = np.column_stack([plus, np.roll(plus, 2), minus, np.roll(minus, 2)])
+    np.testing.assert_allclose(v, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eps": float("nan")}, {"eps": -1.0}, {"eps": 0.0}, {"eps": float("inf")},
+    {"rank_tol_factor": float("inf")}, {"rank_tol_factor": -1e-9},
+    {"rank_tol_factor": float("nan")},
+])
+def test_tolerances_reject_non_finite_or_out_of_range_values(kwargs):
+    with pytest.raises(ValueError):
+        Tolerances(**kwargs)
+
+
+def test_tolerances_accept_a_zero_rank_cutoff():
+    assert Tolerances(rank_tol_factor=0.0).rank_cutoff(1.0) == 0.0
 
 
 def test_trace_norm_hermitian():
