@@ -62,7 +62,7 @@ class KrausChannel:
         return acc
 
     def is_trace_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return bool(np.max(np.abs(self.completeness() - np.eye(self.d_in))) <= tol.eps * self.d_in)
+        return tol.is_complete(self.completeness())
 
     def is_trace_nonincreasing(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         deficit = np.eye(self.d_in) - self.completeness()
@@ -254,8 +254,7 @@ def pullback_povm(m, p, tol: Tolerances = DEFAULT_TOL):
     from .measure import Effect, Povm
 
     dual = adjoint(m)
-    preserved = apply_map(dual, np.eye(m.d_out, dtype=complex))
-    if np.max(np.abs(preserved - np.eye(m.d_in))) > tol.eps * m.d_in:
+    if not tol.is_complete(apply_map(dual, np.eye(m.d_out, dtype=complex))):
         raise ValueError("map is not trace preserving; a POVM cannot be pulled back through it")
     if p.dim != m.d_out:
         raise ValueError(f"POVM dimension {p.dim} != map output dimension {m.d_out}")
@@ -281,7 +280,7 @@ def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     """Conjugation by a unitary, validated as such."""
     m = matkit.require_square(u)
     d = m.shape[0]
-    if np.max(np.abs(dagger(m) @ m - np.eye(d))) > tol.eps * d:
+    if not tol.is_complete(dagger(m) @ m):
         raise ValueError("operator is not unitary within tolerance")
     return KrausChannel((m,), d_in=d, d_out=d)
 

@@ -2,8 +2,9 @@
 instruments, evaluate probabilities and channels, and run property suites.
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
-Exit codes: 0 ok, 1 parse error, 2 invariant/dimension/premise failure,
-3 suite failure.
+Exit codes: 0 ok, 1 parse or I/O error, 2 invariant/dimension/premise
+failure, 3 suite failure.  Every failure is reported by `main`, as one
+stderr line and one JSON record {"command", "ok": false, "exit_code", "error"}.
 """
 
 from __future__ import annotations
@@ -12,11 +13,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import decomposition, harness, matkit, serialize
-from .channels import KrausChannel, Superoperator, choi_from_map
-from .errors import PremiseViolatedError
+from .channels import KrausChannel, Superoperator, apply_map, choi_from_map
 from .matkit import Tolerances
 from .measure import Instrument, Povm, fuse_sequential, induced_povm, probabilities
 from .states import DensityOperator
@@ -39,61 +37,43 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(eps=args.tol, rank_tol_factor=args.rank_tol)
 
 
-def _load(path: str, tol: Tolerances):
-    """Returns (object, exit_code, error_message); object is None on failure."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return None, EXIT_PARSE, f"cannot read {path}: {exc}"
-    try:
-        parsed = serialize.parse_text(text)
-    except serialize.ParseError as exc:
-        return None, EXIT_PARSE, f"parse error in {path}: {exc}"
-    try:
-        return serialize.build(parsed, tol), EXIT_OK, ""
-    except ValueError as exc:
-        return None, EXIT_INVARIANT, f"invariant violation in {path}: {exc}"
+def _load(path: str, wanted, tol: Tolerances):
+    """The object in the file at `path`, which must be a `wanted`.
 
-
-def _load_as(path: str, wanted, tol: Tolerances):
-    obj, code, msg = _load(path, tol)
-    if obj is None:
-        return None, code, msg
+    Parse errors, invariant violations and a wrong kind name the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        obj = serialize.build(serialize.parse_text(text), tol)
+    except ValueError as exc:  # ParseError included
+        exc.args = (f"{path}: {exc}",)
+        raise
     if not isinstance(obj, wanted):
         names = wanted.__name__ if isinstance(wanted, type) else \
             "/".join(w.__name__ for w in wanted)
-        return None, EXIT_PARSE, f"{path}: expected a {names} file, got {type(obj).__name__}"
-    return obj, EXIT_OK, ""
+        raise serialize.ParseError(
+            f"{path}: expected a {names} file, got {type(obj).__name__}")
+    return obj
 
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
-    obj, code, msg = _load(args.path, tol)
-    if obj is None:
-        _say(msg)
-        _report({"command": "verify", "path": args.path, "ok": False, "error": msg})
-        return code
+    obj = _load(args.path, object, tol)
     flags: dict = {}
     if isinstance(obj, Superoperator):
         choi = choi_from_map(obj)
-        tp_gap = float(np.max(np.abs(
-            matkit.partial_trace(choi.mat, (obj.d_in, obj.d_out), keep=0)
-            - np.eye(obj.d_in))))
+        marginal = matkit.partial_trace(choi.mat, (obj.d_in, obj.d_out), keep=0)
         flags = {"cp": choi.is_cp(tol),
                  "hermiticity_preserving": choi.is_hermitian_preserving(tol),
-                 "trace_preserving": tp_gap <= tol.eps * obj.d_in,
+                 "trace_preserving": tol.is_complete(marginal),
                  "min_choi_eigenvalue": choi.min_eigenvalue()}
     elif isinstance(obj, KrausChannel):
+        if not obj.is_trace_nonincreasing(tol):
+            raise ValueError(f"{args.path}: Kraus map increases trace")
         flags = {"cp": True,
                  "trace_preserving": obj.is_trace_preserving(tol),
-                 "trace_nonincreasing": obj.is_trace_nonincreasing(tol)}
-        if not flags["trace_nonincreasing"]:
-            msg = f"invariant violation in {args.path}: Kraus map increases trace"
-            _say(msg)
-            _report({"command": "verify", "path": args.path, "ok": False,
-                     "error": msg, "flags": flags})
-            return EXIT_INVARIANT
+                 "trace_nonincreasing": True}
     kind = serialize.to_payload(obj)["kind"]
     _report({"command": "verify", "path": args.path, "ok": True, "kind": kind,
              "flags": flags})
@@ -103,19 +83,8 @@ def cmd_verify(args) -> int:
 
 def cmd_fuse(args) -> int:
     tol = _tolerances(args)
-    first, code, msg = _load_as(args.first, Instrument, tol)
-    if first is None:
-        _say(msg)
-        return code
-    second, code, msg = _load_as(args.second, Instrument, tol)
-    if second is None:
-        _say(msg)
-        return code
-    try:
-        fused = fuse_sequential(first, second)
-    except ValueError as exc:
-        _say(f"cannot fuse: {exc}")
-        return EXIT_INVARIANT
+    fused = fuse_sequential(_load(args.first, Instrument, tol),
+                            _load(args.second, Instrument, tol))
     serialize.write_file(args.out, fused)
     omega = induced_povm(fused)
     _report({"command": "fuse", "out": args.out,
@@ -127,22 +96,11 @@ def cmd_fuse(args) -> int:
 
 def cmd_decompose(args) -> int:
     tol = _tolerances(args)
-    inst, code, msg = _load_as(args.instrument, Instrument, tol)
-    if inst is None:
-        _say(msg)
-        return code
-    try:
-        channel = inst.channel(args.label)
-        effect = induced_povm(inst).effect(args.label)
-    except KeyError as exc:
-        _say(str(exc))
-        return EXIT_INVARIANT
-    try:
-        premise = decomposition.verify_premise(channel, effect, tol=tol)
-        conditional = decomposition.decompose(channel, effect, check=False, tol=tol)
-    except PremiseViolatedError as exc:
-        _say(f"premise violated: {exc}")
-        return EXIT_INVARIANT
+    inst = _load(args.instrument, Instrument, tol)
+    channel = inst.channel(args.label)
+    effect = induced_povm(inst).effect(args.label)
+    premise = decomposition.verify_premise(channel, effect, tol=tol)
+    conditional = decomposition.decompose(channel, effect, check=False, tol=tol)
     recon = decomposition._check_decomposition(channel, effect, conditional, tol)
     _report({"command": "decompose", "label": args.label,
              "effect": serialize.matrix_payload(effect.mat),
@@ -156,19 +114,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_probs(args) -> int:
     tol = _tolerances(args)
-    rho, code, msg = _load_as(args.state, DensityOperator, tol)
-    if rho is None:
-        _say(msg)
-        return code
-    povm, code, msg = _load_as(args.povm, Povm, tol)
-    if povm is None:
-        _say(msg)
-        return code
-    try:
-        dist = probabilities(rho, povm)
-    except ValueError as exc:
-        _say(str(exc))
-        return EXIT_INVARIANT
+    dist = probabilities(_load(args.state, DensityOperator, tol),
+                         _load(args.povm, Povm, tol))
     _report({"command": "probs",
              "probabilities": [{"label": label, "p": p} for label, p in dist]})
     for label, p in dist:
@@ -178,21 +125,9 @@ def cmd_probs(args) -> int:
 
 def cmd_evolve(args) -> int:
     tol = _tolerances(args)
-    channel, code, msg = _load_as(args.channel, (KrausChannel, Superoperator), tol)
-    if channel is None:
-        _say(msg)
-        return code
-    rho, code, msg = _load_as(args.state, DensityOperator, tol)
-    if rho is None:
-        _say(msg)
-        return code
-    from .channels import apply_map
-    try:
-        out = apply_map(channel, rho.mat)
-        evolved = DensityOperator(out, tol)
-    except ValueError as exc:
-        _say(f"evolution failed: {exc}")
-        return EXIT_INVARIANT
+    channel = _load(args.channel, (KrausChannel, Superoperator), tol)
+    rho = _load(args.state, DensityOperator, tol)
+    evolved = DensityOperator(apply_map(channel, rho.mat), tol)
     if args.out:
         serialize.write_file(args.out, evolved)
         _say(f"wrote evolved state to {args.out}")
@@ -365,7 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (serialize.ParseError, OSError, ValueError, ArithmeticError, KeyError) as exc:
+        code = EXIT_PARSE if isinstance(exc, (serialize.ParseError, OSError)) else EXIT_INVARIANT
+        detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        error = f"{type(exc).__name__}: {detail}"
+    _say(f"qmeasure {args.command}: {error}")
+    _report({"command": args.command, "ok": False, "exit_code": code, "error": error})
+    return code
 
 
 if __name__ == "__main__":

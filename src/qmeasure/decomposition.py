@@ -72,12 +72,12 @@ def verify_premise(b: KrausChannel, f: Effect,
         raise PremiseViolatedError(
             f"tr(B(rho)) != tr(rho F): basis residual {trace_residual:.3e}")
 
-    w, _ = matkit.eigh_desc(f.mat, tol)
+    supp = matkit.psd_support(f.mat, tol=tol)
+    w = supp.eigenvalues
     cutoff = tol.rank_cutoff(float(w.max()))
     support_rank = int(np.sum(w > cutoff))
     borderline = tuple(float(x) for x in w if cutoff / 10.0 < x <= cutoff * 10.0)
 
-    supp = matkit.psd_support(f.mat, tol=tol)
     # Every state has ||rho||_F <= tr rho = 1, and ||A X C||_F <= ||A||_F ||X||_F ||C||_F,
     # so term by term over B's Kraus operators K_i, for every state rho:
     #   ||B(P_ker rho P_ker)||_F <= sum_i ||K_i P_ker||_F^2
@@ -107,18 +107,18 @@ def reconstruction_residual(b: KrausChannel, f: Effect, e: KrausChannel,
 
 def _check_decomposition(b: KrausChannel, f: Effect, e: KrausChannel,
                          tol: Tolerances) -> float:
-    """Raise ArithmeticError unless E is trace preserving and reconstructs B,
-    both within eps * d; returns the reconstruction residual."""
-    d = f.dim
-    bound = tol.eps * d
-    tp_residual = float(np.max(np.abs(e.completeness() - np.eye(d))))
-    if tp_residual > bound:
+    """Raise ArithmeticError unless E is trace preserving and reconstructs B
+    within eps * d; returns the reconstruction residual."""
+    total = e.completeness()
+    if not tol.is_complete(total):
         raise ArithmeticError(
-            f"decomposition is not trace preserving: residual {tp_residual:.3e}")
+            f"decomposition is not trace preserving: residual "
+            f"{tol.completeness_residual(total):.3e} exceeds {tol.completeness_bound(f.dim):.3e}")
     worst = reconstruction_residual(b, f, e, tol=tol)
+    bound = tol.eps * f.dim
     if worst > bound:
         raise ArithmeticError(
-            f"reconstruction residual {worst:.3e} exceeds {bound:.1e}")
+            f"reconstruction residual {worst:.3e} exceeds {bound:.3e}")
     return worst
 
 

@@ -462,7 +462,7 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
         premise = verify_premise(b, f, tol=tol)
         e = decompose(b, f, check=False, tol=tol)
         recon = reconstruction_residual(b, f, e, seed=trial_seed, tol=tol)
-        tp_res = float(np.max(np.abs(e.completeness() - np.eye(d))))
+        tp_res = tol.completeness_residual(e.completeness())
         vanish = max(premise.kernel_residual, premise.cross_residual)
         max_res = max(max_res, recon, tp_res)
         max_vanish = max(max_vanish, vanish)

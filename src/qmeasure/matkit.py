@@ -30,6 +30,24 @@ class Tolerances:
         """Absolute eigenvalue cutoff for rank decisions, scaled to lam_max."""
         return self.rank_tol_factor * max(float(lam_max), 0.0)
 
+    def completeness_residual(self, total) -> float:
+        """Spectral norm ||total - I||_2 of a d x d operator meant to be the identity.
+
+        For every state, |sum_i tr(rho F_i) - tr rho| <= ||rho||_1 ||sum_i F_i - I||_2,
+        so this residual bounds the probability defect; an entrywise maximum
+        does not (it can be d times smaller).
+        """
+        m = np.asarray(total)
+        return float(np.linalg.norm(m - np.eye(m.shape[0]), 2))
+
+    def completeness_bound(self, d: int) -> float:
+        """Largest completeness residual accepted on a d-dimensional space."""
+        return self.eps * d
+
+    def is_complete(self, total) -> bool:
+        """Whether `total` (a sum of K†K or of effects) is the identity within the bound."""
+        return self.completeness_residual(total) <= self.completeness_bound(len(total))
+
 
 DEFAULT_TOL = Tolerances()
 
@@ -172,11 +190,13 @@ def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 class SupportDecomposition(NamedTuple):
-    """Support projector, kernel projector, and sqrt of the support-restricted inverse."""
+    """Support projector, kernel projector, sqrt of the support-restricted inverse,
+    and the descending eigenvalues they were built from."""
 
     support: np.ndarray
     kernel: np.ndarray
     pinv_sqrt: np.ndarray
+    eigenvalues: np.ndarray
 
 
 def psd_support(a, rank_tol: float | None = None,
@@ -196,7 +216,7 @@ def psd_support(a, rank_tol: float | None = None,
     inv_sqrt[mask] = 1.0 / np.sqrt(w[mask])
     pinv_sqrt = (v * inv_sqrt) @ dagger(v)
     return SupportDecomposition(hermitian_part(support), hermitian_part(kernel),
-                                hermitian_part(pinv_sqrt))
+                                hermitian_part(pinv_sqrt), w)
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:

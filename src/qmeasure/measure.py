@@ -61,13 +61,11 @@ class Povm:
         if len(dims) != 1:
             raise ValueError("POVM effects live on different dimensions")
         d = dims.pop()
-        total = np.zeros((d, d), dtype=complex)
-        for _, eff in self.outcomes:
-            total = total + eff.mat
-        residual = float(np.max(np.abs(total - np.eye(d))))
-        if residual > self.tol.eps * d:
+        total = sum(eff.mat for _, eff in self.outcomes)
+        if not self.tol.is_complete(total):
             raise ValueError(
-                f"POVM completeness residual {residual:.3e} exceeds {self.tol.eps * d:.1e}")
+                f"POVM completeness residual {self.tol.completeness_residual(total):.3e} "
+                f"exceeds {self.tol.completeness_bound(d):.3e}")
         object.__setattr__(self, "outcomes",
                            tuple((str(label), eff) for label, eff in self.outcomes))
 
@@ -116,14 +114,11 @@ class Instrument:
         d_outs = {ch.d_out for _, ch in self.outcomes}
         if len(d_ins) != 1 or len(d_outs) != 1:
             raise ValueError("instrument outcome maps must share input and output dimensions")
-        d_in = d_ins.pop()
-        total = np.zeros((d_in, d_in), dtype=complex)
-        for _, ch in self.outcomes:
-            total = total + ch.completeness()
-        residual = float(np.max(np.abs(total - np.eye(d_in))))
-        if residual > self.tol.eps:
+        total = sum(ch.completeness() for _, ch in self.outcomes)
+        if not self.tol.is_complete(total):
             raise ValueError(
-                f"instrument total-trace residual {residual:.3e} exceeds {self.tol.eps:.1e}")
+                f"instrument total-trace residual {self.tol.completeness_residual(total):.3e} "
+                f"exceeds {self.tol.completeness_bound(d_ins.pop()):.3e}")
         object.__setattr__(self, "outcomes",
                            tuple((str(label), ch) for label, ch in self.outcomes))
 
@@ -150,14 +145,21 @@ def probabilities(rho: DensityOperator, p: Povm) -> list[tuple[str, float]]:
     """Outcome distribution tr(rho F) over the POVM, clamped into [0, 1]."""
     if rho.dim != p.dim:
         raise ValueError(f"state dimension {rho.dim} != POVM dimension {p.dim}")
-    out = []
-    for label, eff in p.outcomes:
-        val = float(np.trace(rho.mat @ eff.mat).real)
-        out.append((label, min(max(val, 0.0), 1.0)))
-    total = sum(pr for _, pr in out)
-    if abs(total - 1.0) > p.tol.eps * p.dim:
-        raise ArithmeticError(f"probabilities sum to {total:.12g}, not 1")
-    return out
+    values = [float(np.trace(rho.mat @ eff.mat).real) for _, eff in p.outcomes]
+    # DensityOperator accepts |tr rho - 1| <= eps_r and eigenvalues >= -eps_r, at most
+    # d - 1 of them negative, so ||rho||_1 <= tr rho + 2 (d - 1) eps_r <= 1 + (2d - 1) eps_r;
+    # Povm accepts ||sum F - I||_2 <= eps d.  Hence, before clamping,
+    #   |sum_i tr(rho F_i) - 1| <= ||rho||_1 ||sum F - I||_2 + |tr rho - 1|
+    #                           <= (1 + (2d - 1) eps_r) eps d + eps_r,
+    # and n d^2 machine epsilons cover the rounding in the n traces of d x d products.
+    d, eps, eps_r = p.dim, p.tol.eps, rho.tol.eps
+    bound = ((1 + (2 * d - 1) * eps_r) * eps * d + eps_r
+             + len(values) * d * d * np.finfo(float).eps)
+    defect = abs(sum(values) - 1.0)
+    if defect > bound:
+        raise ArithmeticError(
+            f"probabilities sum differs from 1 by {defect:.3e} (bound {bound:.3e})")
+    return [(label, min(max(val, 0.0), 1.0)) for (label, _), val in zip(p.outcomes, values)]
 
 
 def induced_povm(inst: Instrument) -> Povm:
@@ -184,13 +186,11 @@ def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrume
     mats = [matkit.require_matrix(m) for m in ms]
     if not mats:
         raise ValueError("at least one measurement operator is required")
-    d_in = mats[0].shape[1]
-    total = np.zeros((d_in, d_in), dtype=complex)
-    for m in mats:
-        total = total + dagger(m) @ m
-    residual = float(np.max(np.abs(total - np.eye(d_in))))
-    if residual > tol.eps * d_in:
-        raise ValueError(f"measurement operators are incomplete: residual {residual:.3e}")
+    total = sum(dagger(m) @ m for m in mats)
+    if not tol.is_complete(total):
+        raise ValueError(
+            f"measurement operators are incomplete: residual {tol.completeness_residual(total):.3e} "
+            f"exceeds {tol.completeness_bound(len(total)):.3e}")
     if labels is None:
         labels = [str(i) for i in range(len(mats))]
     outs = tuple(

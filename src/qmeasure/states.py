@@ -39,10 +39,12 @@ class DensityOperator:
         m = matkit.hermitian_part(m)
         low = float(np.linalg.eigvalsh(m).min())
         if low < -eps:
-            raise ValueError(f"density operator has negative eigenvalue {low:.3e}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > eps:
-            raise ValueError(f"density operator trace {tr.real:.12g} differs from 1")
+            raise ValueError(
+                f"density operator has negative eigenvalue {low:.3e} (eps = {eps:.3e})")
+        defect = abs(complex(np.trace(m)) - 1.0)
+        if defect > eps:
+            raise ValueError(
+                f"density operator trace differs from 1 by {defect:.3e} (eps = {eps:.3e})")
         object.__setattr__(self, "mat", matkit.freeze(m))
 
     @property
@@ -76,8 +78,10 @@ class Ensemble:
         weights = np.array([w for w, _ in self.members], dtype=float)
         if np.any(weights < -self.tol.eps):
             raise ValueError("ensemble weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > self.tol.eps:
-            raise ValueError(f"ensemble weights sum to {weights.sum():.12g}, not 1")
+        defect = abs(float(weights.sum()) - 1.0)
+        if defect > self.tol.eps:
+            raise ValueError(
+                f"ensemble weights sum differs from 1 by {defect:.3e} (eps = {self.tol.eps:.3e})")
         object.__setattr__(self, "members",
                            tuple((float(w), s) for w, s in self.members))
 

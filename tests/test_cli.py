@@ -28,6 +28,17 @@ def last_json(capsys):
     return json.loads(out[-1])
 
 
+def error_record(capsys, code):
+    """The one JSON record of a failed command, after checking stderr has one line."""
+    out = capsys.readouterr()
+    (line,) = out.out.strip().splitlines()
+    record = json.loads(line)
+    assert set(record) == {"command", "ok", "exit_code", "error"}
+    assert record["ok"] is False and record["exit_code"] == code
+    assert len(out.err.strip().splitlines()) == 1 and "Traceback" not in out.err
+    return record
+
+
 # --- serialization ---------------------------------------------------------
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -69,9 +80,7 @@ def test_verify_rejects_non_standard_json_literals_as_parse_errors(literal, tmp_
     path = tmp_path / "rho.json"
     path.write_text('{"kind": "density", "dim": 1, "data": {"mat": [[[%s, 0.0]]]}}' % literal)
     assert main(["verify", str(path)]) == 1
-    report = last_json(capsys)
-    assert report["ok"] is False
-    assert literal in report["error"]
+    assert literal in error_record(capsys, 1)["error"]
 
 
 @pytest.mark.parametrize("bad", [["--tol", "nan"], ["--tol", "-1"], ["--rank-tol", "inf"]])
@@ -95,18 +104,37 @@ def test_verify_incomplete_povm_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert main(["verify", str(path)]) == 2
-    report = last_json(capsys)
-    assert not report["ok"]
+    report = error_record(capsys, 2)
     assert "completeness residual" in report["error"]
 
 
-def test_verify_unparsable_exits_1(tmp_path):
+def test_verify_rejects_povm_whose_spectral_residual_exceeds_the_bound(tmp_path, capsys):
+    # Entrywise the residual c = 2.9e-9 is under eps * d = 3e-9, but its spectral
+    # norm 2c is not, and |+++> would see probabilities summing to 1 + 2c.
+    d, c = 3, 2.9e-9
+    payload = serialize.to_payload(z_povm())
+    payload["dim"] = d
+    payload["data"]["outcomes"] = [
+        {"label": "a", "mat": serialize.matrix_payload(
+            np.eye(d) / 2 + c * (np.ones((d, d)) - np.eye(d)))},
+        {"label": "b", "mat": serialize.matrix_payload(np.eye(d) / 2)}]
+    povm = tmp_path / "povm.json"
+    povm.write_text(json.dumps(payload))
+    rho = write(tmp_path / "rho.json", DensityOperator.from_vector(np.ones(d)))
+    assert main(["verify", str(povm)]) == 2
+    assert "completeness residual" in error_record(capsys, 2)["error"]
+    assert main(["probs", rho, str(povm)]) == 2
+    assert "completeness residual" in error_record(capsys, 2)["error"]
+
+
+def test_verify_unparsable_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{")
     assert main(["verify", str(path)]) == 1
+    assert str(path) in error_record(capsys, 1)["error"]
 
 
-def test_verify_transpose_as_kraus_channel_exits_1(tmp_path):
+def test_verify_transpose_as_kraus_channel_exits_1(tmp_path, capsys):
     # a 4x4 superoperator matrix cannot be a Kraus operator of a qubit channel
     payload = {"kind": "kraus_channel", "dims": [2, 2],
                "data": {"kraus": [serialize.matrix_payload(
@@ -114,6 +142,13 @@ def test_verify_transpose_as_kraus_channel_exits_1(tmp_path):
     path = tmp_path / "transpose_kraus.json"
     path.write_text(json.dumps(payload))
     assert main(["verify", str(path)]) == 1
+    error_record(capsys, 1)
+
+
+def test_verify_trace_increasing_kraus_channel_exits_2(tmp_path, capsys):
+    path = write(tmp_path / "gain.json", KrausChannel.from_ops([2.0 * np.eye(2)]))
+    assert main(["verify", path]) == 2
+    assert "increases trace" in error_record(capsys, 2)["error"]
 
 
 def test_verify_transpose_superoperator_flags_not_cp(tmp_path, capsys):
@@ -204,19 +239,31 @@ def test_fuse_channel_then_measurement_matches_pullback(tmp_path, capsys):
         assert np.max(np.abs(got[f"e·{label}"] - eff.mat)) <= 1e-10
 
 
-def test_fuse_dimension_mismatch_exits_2(tmp_path):
+def test_fuse_dimension_mismatch_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(7)
     first = harness.random_instrument(2, 2, 1, rng)
     second = harness.random_instrument(3, 2, 1, rng)
     f1 = write(tmp_path / "a.json", first)
     f2 = write(tmp_path / "b.json", second)
     assert main(["fuse", f1, f2, "--out", str(tmp_path / "c.json")]) == 2
+    assert "cannot chain" in error_record(capsys, 2)["error"]
 
 
-def test_fuse_wrong_kind_exits_1(tmp_path):
+def test_fuse_wrong_kind_exits_1(tmp_path, capsys):
     f1 = write(tmp_path / "rho.json", plus_state())
     f2 = write(tmp_path / "inst.json", luders_from_povm(z_povm()))
     assert main(["fuse", f1, f2, "--out", str(tmp_path / "c.json")]) == 1
+    assert f1 in error_record(capsys, 1)["error"]
+
+
+def test_output_in_a_missing_directory_exits_1(tmp_path, capsys):
+    inst = write(tmp_path / "inst.json", luders_from_povm(z_povm()))
+    ch = write(tmp_path / "ch.json", KrausChannel.from_ops([np.eye(2)]))
+    rho = write(tmp_path / "rho.json", plus_state())
+    for argv in (["fuse", inst, inst], ["evolve", ch, rho]):
+        out = str(tmp_path / "missing" / "out.json")
+        assert main([*argv, "--out", out]) == 1
+        assert out in error_record(capsys, 1)["error"]
 
 
 # --- decompose -------------------------------------------------------------
@@ -255,9 +302,10 @@ def test_decompose_phased_outcome_via_file(tmp_path, capsys):
     assert report["reconstruction_residual"] <= 1e-10
 
 
-def test_decompose_missing_label_exits_2(tmp_path):
+def test_decompose_missing_label_exits_2(tmp_path, capsys):
     path = write(tmp_path / "atom.json", harness.atom_demo())
     assert main(["decompose", path, "zzz"]) == 2
+    assert "zzz" in error_record(capsys, 2)["error"]
 
 
 # --- probs / evolve --------------------------------------------------------
@@ -272,11 +320,12 @@ def test_probs_plus_state(tmp_path, capsys):
     assert abs(dist["1"] - 0.5) < 1e-12
 
 
-def test_probs_dimension_mismatch_exits_2(tmp_path):
+def test_probs_dimension_mismatch_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(9)
     s = write(tmp_path / "rho.json", harness.random_density(3, rng))
     p = write(tmp_path / "povm.json", z_povm())
     assert main(["probs", s, p]) == 2
+    assert "dimension" in error_record(capsys, 2)["error"]
 
 
 def test_evolve_writes_state(tmp_path, capsys):

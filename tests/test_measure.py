@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmeasure import harness, matkit
 from qmeasure.channels import KrausChannel, apply_map, identity_channel, unitary_channel
+from qmeasure.matkit import DEFAULT_TOL
 from qmeasure.measure import (Effect, Instrument, Povm, apply_instrument,
                               from_effect_channel_pairs, from_generalized,
                               fuse_sequential, induced_povm, luders_from_povm,
@@ -370,3 +373,62 @@ def test_ensemble_independence_of_branch_maps():
         out1 = sum(w * apply_map(ch, s.mat) for w, s in e1.members)
         out2 = sum(w * apply_map(ch, s.mat) for w, s in e2.members)
         assert np.max(np.abs(out1 - out2)) <= 1e-10
+
+
+# --- completeness at the tolerance edge ------------------------------------
+
+EDGE = settings(deadline=None, max_examples=40)
+EDGE_DIMS = st.sampled_from([2, 3, 4])
+SEEDS = st.integers(0, 2 ** 32 - 1)
+SCALES = st.floats(0.5, 1.5)  # c in units of eps * d / ||H||_2
+
+
+def unit_hermitian(d, seed):
+    """Random Hermitian H with ||H||_2 = 1."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (g + g.conj().T) / 2
+    return h / np.linalg.norm(h, 2)
+
+
+def assert_decision_follows_the_spectral_rule(accepted, scale):
+    if abs(scale - 1.0) > 1e-6:  # away from the knife edge, where rounding decides
+        assert accepted == (scale < 1.0)
+
+
+@EDGE
+@given(d=EDGE_DIMS, seed=SEEDS, scale=SCALES, trace_slack=st.floats(-0.99, 0.99))
+def test_povm_at_the_completeness_edge_gives_normalised_probabilities(d, seed, scale,
+                                                                        trace_slack):
+    h = unit_hermitian(d, seed)
+    c = scale * DEFAULT_TOL.completeness_bound(d)
+    try:
+        povm = Povm.from_effects([np.eye(d) / 2 + c * h, np.eye(d) / 2])
+    except ValueError:
+        assert_decision_follows_the_spectral_rule(False, scale)
+        return
+    assert_decision_follows_the_spectral_rule(True, scale)
+    _, v = np.linalg.eigh(h)
+    states = [DensityOperator((1.0 + trace_slack * DEFAULT_TOL.eps) * outer(v[:, k]))
+              for k in (0, d - 1)]
+    states.append(harness.random_density(d, np.random.default_rng(seed + 1)))
+    for rho in states:
+        probabilities(rho, povm)
+
+
+@EDGE
+@given(d=EDGE_DIMS, seed=SEEDS, scale=SCALES, kraus_count=st.integers(1, 3))
+def test_instrument_at_the_completeness_edge_induces_a_povm(d, seed, scale, kraus_count):
+    h = unit_hermitian(d, seed)
+    c = scale * DEFAULT_TOL.completeness_bound(d)
+    root = matkit.psd_sqrt(np.eye(d) / 2 + c * h)
+    spread = harness.random_cptp(d, d, kraus_count, np.random.default_rng(seed + 1))
+    outcomes = (("a", KrausChannel.from_ops([k @ root for k in spread.kraus])),
+                ("b", KrausChannel.from_ops([np.eye(d) / np.sqrt(2)])))
+    try:
+        inst = Instrument(outcomes)
+    except ValueError:
+        assert_decision_follows_the_spectral_rule(False, scale)
+        return
+    assert_decision_follows_the_spectral_rule(True, scale)
+    induced_povm(inst)
