@@ -43,7 +43,10 @@ def _load(path: str, wanted, tol: Tolerances):
     Parse errors, invariant violations and a wrong kind name the file.
     """
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise serialize.ParseError(f"{path}: not UTF-8 text: {exc}") from None
     try:
         obj = serialize.build(serialize.parse_text(text), tol)
     except ValueError as exc:  # ParseError included
@@ -302,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (serialize.ParseError, OSError, ValueError, ArithmeticError, KeyError) as exc:
+    except (OSError, ValueError, ArithmeticError, KeyError) as exc:
         code = EXIT_PARSE if isinstance(exc, (serialize.ParseError, OSError)) else EXIT_INVARIANT
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         error = f"{type(exc).__name__}: {detail}"

@@ -109,11 +109,10 @@ def _check_decomposition(b: KrausChannel, f: Effect, e: KrausChannel,
                          tol: Tolerances) -> float:
     """Raise ArithmeticError unless E is trace preserving and reconstructs B
     within eps * d; returns the reconstruction residual."""
-    total = e.completeness()
-    if not tol.is_complete(total):
+    violation = tol.completeness_violation(e.completeness())
+    if violation:
         raise ArithmeticError(
-            f"decomposition is not trace preserving: residual "
-            f"{tol.completeness_residual(total):.3e} exceeds {tol.completeness_bound(f.dim):.3e}")
+            "decomposition is not trace preserving: residual %.3e exceeds %.3e" % violation)
     worst = reconstruction_residual(b, f, e, tol=tol)
     bound = tol.eps * f.dim
     if worst > bound:

@@ -40,13 +40,14 @@ class Tolerances:
         m = np.asarray(total)
         return float(np.linalg.norm(m - np.eye(m.shape[0]), 2))
 
-    def completeness_bound(self, d: int) -> float:
-        """Largest completeness residual accepted on a d-dimensional space."""
-        return self.eps * d
+    def completeness_violation(self, total) -> tuple[float, float] | None:
+        """(residual, bound) when `total` (a sum of K†K or of effects) misses the
+        identity by more than eps * d, else None."""
+        residual, bound = self.completeness_residual(total), self.eps * len(total)
+        return (residual, bound) if residual > bound else None
 
     def is_complete(self, total) -> bool:
-        """Whether `total` (a sum of K†K or of effects) is the identity within the bound."""
-        return self.completeness_residual(total) <= self.completeness_bound(len(total))
+        return self.completeness_violation(total) is None
 
 
 DEFAULT_TOL = Tolerances()

@@ -60,12 +60,9 @@ class Povm:
         dims = {eff.dim for _, eff in self.outcomes}
         if len(dims) != 1:
             raise ValueError("POVM effects live on different dimensions")
-        d = dims.pop()
-        total = sum(eff.mat for _, eff in self.outcomes)
-        if not self.tol.is_complete(total):
-            raise ValueError(
-                f"POVM completeness residual {self.tol.completeness_residual(total):.3e} "
-                f"exceeds {self.tol.completeness_bound(d):.3e}")
+        violation = self.tol.completeness_violation(sum(eff.mat for _, eff in self.outcomes))
+        if violation:
+            raise ValueError("POVM completeness residual %.3e exceeds %.3e" % violation)
         object.__setattr__(self, "outcomes",
                            tuple((str(label), eff) for label, eff in self.outcomes))
 
@@ -114,11 +111,19 @@ class Instrument:
         d_outs = {ch.d_out for _, ch in self.outcomes}
         if len(d_ins) != 1 or len(d_outs) != 1:
             raise ValueError("instrument outcome maps must share input and output dimensions")
-        total = sum(ch.completeness() for _, ch in self.outcomes)
-        if not self.tol.is_complete(total):
-            raise ValueError(
-                f"instrument total-trace residual {self.tol.completeness_residual(total):.3e} "
-                f"exceeds {self.tol.completeness_bound(d_ins.pop()):.3e}")
+        # The checks induced_povm makes, on the same matrices: the total of the
+        # effects sum K†K, then each effect, so an instrument that constructs
+        # always induces a POVM.
+        effect_mats = [ch.completeness() for _, ch in self.outcomes]
+        violation = self.tol.completeness_violation(
+            sum(matkit.hermitian_part(m) for m in effect_mats))
+        if violation:
+            raise ValueError("instrument total-trace residual %.3e exceeds %.3e" % violation)
+        for label, m in zip(labels, effect_mats):
+            try:
+                Effect(m, self.tol)
+            except ValueError as exc:
+                raise ValueError(f"instrument outcome {label!r}: {exc}") from None
         object.__setattr__(self, "outcomes",
                            tuple((str(label), ch) for label, ch in self.outcomes))
 
@@ -186,11 +191,10 @@ def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrume
     mats = [matkit.require_matrix(m) for m in ms]
     if not mats:
         raise ValueError("at least one measurement operator is required")
-    total = sum(dagger(m) @ m for m in mats)
-    if not tol.is_complete(total):
+    violation = tol.completeness_violation(sum(dagger(m) @ m for m in mats))
+    if violation:
         raise ValueError(
-            f"measurement operators are incomplete: residual {tol.completeness_residual(total):.3e} "
-            f"exceeds {tol.completeness_bound(len(total)):.3e}")
+            "measurement operators are incomplete: residual %.3e exceeds %.3e" % violation)
     if labels is None:
         labels = [str(i) for i in range(len(mats))]
     outs = tuple(

@@ -128,10 +128,11 @@ def test_verify_rejects_povm_whose_spectral_residual_exceeds_the_bound(tmp_path,
 
 
 def test_verify_unparsable_exits_1(tmp_path, capsys):
-    path = tmp_path / "broken.json"
-    path.write_text("{")
-    assert main(["verify", str(path)]) == 1
-    assert str(path) in error_record(capsys, 1)["error"]
+    for name, content in (("broken.json", b"{"), ("latin1.json", b'{"kind": "\xe9"}')):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(["verify", str(path)]) == 1
+        assert str(path) in error_record(capsys, 1)["error"]
 
 
 def test_verify_transpose_as_kraus_channel_exits_1(tmp_path, capsys):
@@ -168,6 +169,22 @@ def test_verify_density(tmp_path):
 def test_verify_instrument(tmp_path):
     inst = luders_from_povm(z_povm())
     assert main(["verify", write(tmp_path / "inst.json", inst)]) == 0
+
+
+def test_instrument_with_an_effect_above_identity_fails_every_command(tmp_path, capsys):
+    # The total misses I by 1.5e-9, inside eps * d = 2e-9, but outcome "0" alone has
+    # K†K = (1 + 1.5e-9)|0><0|; verify must refuse what decompose and fuse refuse.
+    payload = serialize.to_payload(luders_from_povm(z_povm()))
+    payload["data"]["outcomes"][0]["kraus"] = [
+        serialize.matrix_payload(np.diag([np.sqrt(1 + 1.5e-9), 0.0]))]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(payload))
+    label = payload["data"]["outcomes"][0]["label"]
+    for argv in (["verify", str(path)], ["decompose", str(path), label],
+                 ["fuse", str(path), str(path), "--out", str(tmp_path / "out.json")]):
+        assert main(argv) == 2
+        error = error_record(capsys, 2)["error"]
+        assert f"instrument outcome {label!r}: effect spectrum leaves [0, 1] by 1.500e-09" in error
 
 
 # --- fuse ------------------------------------------------------------------

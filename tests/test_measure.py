@@ -381,6 +381,7 @@ EDGE = settings(deadline=None, max_examples=40)
 EDGE_DIMS = st.sampled_from([2, 3, 4])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 SCALES = st.floats(0.5, 1.5)  # c in units of eps * d / ||H||_2
+RANKS = st.integers(0, 3)  # 0: base I/2; r > 0: a rank-r projector (at most d - 1)
 
 
 def unit_hermitian(d, seed):
@@ -391,24 +392,43 @@ def unit_hermitian(d, seed):
     return h / np.linalg.norm(h, 2)
 
 
-def assert_decision_follows_the_spectral_rule(accepted, scale):
-    if abs(scale - 1.0) > 1e-6:  # away from the knife edge, where rounding decides
-        assert accepted == (scale < 1.0)
+def edge_pair(d, seed, scale, rank):
+    """(B + c H, I - B) with c = scale * eps * d, so the pair misses completeness by
+    exactly c in spectral norm.  B = I/2 keeps both spectra inside [0, 1]; a
+    projector B puts eigenvalues within c of 0 and of 1, where the effect check
+    itself can reject."""
+    r = min(rank, d - 1)
+    base = np.eye(d) / 2 if rank == 0 else np.diag([1.0] * r + [0.0] * (d - r))
+    return base + scale * DEFAULT_TOL.eps * d * unit_hermitian(d, seed), np.eye(d) - base
+
+
+def assert_decision_follows_the_spectral_rule(accepted, scale, rank):
+    if abs(scale - 1.0) <= 1e-6:  # the knife edge, where rounding decides
+        return
+    if accepted:
+        assert scale < 1.0
+    else:  # a projector base may also fail the effect check, below the bound
+        assert scale > 1.0 or rank > 0
+
+
+def kraus_root(f):
+    """A square root of f with its (tiny) negative eigenvalues clipped to zero."""
+    w, v = np.linalg.eigh(f)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
 @EDGE
-@given(d=EDGE_DIMS, seed=SEEDS, scale=SCALES, trace_slack=st.floats(-0.99, 0.99))
-def test_povm_at_the_completeness_edge_gives_normalised_probabilities(d, seed, scale,
+@given(d=EDGE_DIMS, seed=SEEDS, scale=SCALES, rank=RANKS,
+       trace_slack=st.floats(-0.99, 0.99))
+def test_povm_at_the_completeness_edge_gives_normalised_probabilities(d, seed, scale, rank,
                                                                         trace_slack):
-    h = unit_hermitian(d, seed)
-    c = scale * DEFAULT_TOL.completeness_bound(d)
     try:
-        povm = Povm.from_effects([np.eye(d) / 2 + c * h, np.eye(d) / 2])
+        povm = Povm.from_effects(edge_pair(d, seed, scale, rank))
     except ValueError:
-        assert_decision_follows_the_spectral_rule(False, scale)
+        assert_decision_follows_the_spectral_rule(False, scale, rank)
         return
-    assert_decision_follows_the_spectral_rule(True, scale)
-    _, v = np.linalg.eigh(h)
+    assert_decision_follows_the_spectral_rule(True, scale, rank)
+    _, v = np.linalg.eigh(unit_hermitian(d, seed))
     states = [DensityOperator((1.0 + trace_slack * DEFAULT_TOL.eps) * outer(v[:, k]))
               for k in (0, d - 1)]
     states.append(harness.random_density(d, np.random.default_rng(seed + 1)))
@@ -417,18 +437,20 @@ def test_povm_at_the_completeness_edge_gives_normalised_probabilities(d, seed, s
 
 
 @EDGE
-@given(d=EDGE_DIMS, seed=SEEDS, scale=SCALES, kraus_count=st.integers(1, 3))
-def test_instrument_at_the_completeness_edge_induces_a_povm(d, seed, scale, kraus_count):
-    h = unit_hermitian(d, seed)
-    c = scale * DEFAULT_TOL.completeness_bound(d)
-    root = matkit.psd_sqrt(np.eye(d) / 2 + c * h)
+@given(d=EDGE_DIMS, seed=SEEDS, scale=SCALES, rank=RANKS, kraus_count=st.integers(1, 3))
+def test_instrument_at_the_completeness_edge_induces_a_povm(d, seed, scale, rank,
+                                                            kraus_count):
+    f_a, f_b = edge_pair(d, seed, scale, rank)
     spread = harness.random_cptp(d, d, kraus_count, np.random.default_rng(seed + 1))
-    outcomes = (("a", KrausChannel.from_ops([k @ root for k in spread.kraus])),
-                ("b", KrausChannel.from_ops([np.eye(d) / np.sqrt(2)])))
+    outcomes = (("a", KrausChannel.from_ops([k @ kraus_root(f_a) for k in spread.kraus])),
+                ("b", KrausChannel.from_ops([kraus_root(f_b)])))
     try:
         inst = Instrument(outcomes)
     except ValueError:
-        assert_decision_follows_the_spectral_rule(False, scale)
+        if rank == 0:  # clipping leaves an I/2 base untouched
+            assert_decision_follows_the_spectral_rule(False, scale, rank)
         return
-    assert_decision_follows_the_spectral_rule(True, scale)
+    if rank == 0:
+        assert_decision_follows_the_spectral_rule(True, scale, rank)
     induced_povm(inst)
+
