@@ -29,37 +29,40 @@ def unvec(v) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Completely positive map rho -> sum_k K rho K† with d_out x d_in operators."""
+    """Completely positive map rho -> sum_k K_k rho K_k†.
 
-    kraus: tuple[np.ndarray, ...]
+    `kraus` is one read-only complex array of shape (n, d_out, d_in) with K_k
+    at kraus[k]; kraus.reshape(-1, d_in) is the Stinespring stack [K_1; ...; K_n].
+    """
+
+    kraus: np.ndarray
     d_in: int
     d_out: int
 
     def __post_init__(self):
-        if not self.kraus:
-            raise ValueError("at least one Kraus operator is required")
-        ops = []
-        for k in self.kraus:
-            m = matkit.require_matrix(k)
-            if m.shape != (self.d_out, self.d_in):
-                raise ValueError(f"Kraus operator shape {m.shape} != ({self.d_out}, {self.d_in})")
-            ops.append(matkit.freeze(m))
-        object.__setattr__(self, "kraus", tuple(ops))
+        ops = np.array(self.kraus, dtype=complex)
+        if ops.ndim != 3 or ops.shape[0] == 0 or ops.shape[1:] != (self.d_out, self.d_in):
+            raise ValueError(f"Kraus operators must stack to shape "
+                             f"(n >= 1, {self.d_out}, {self.d_in}), got {ops.shape}")
+        if not np.all(np.isfinite(ops)):
+            raise ValueError("Kraus operators contain NaN or Inf entries")
+        ops.setflags(write=False)
+        object.__setattr__(self, "kraus", ops)
 
     @classmethod
     def from_ops(cls, ops) -> "KrausChannel":
-        mats = [matkit.require_matrix(k) for k in ops]
-        if not mats:
-            raise ValueError("at least one Kraus operator is required")
-        d_out, d_in = mats[0].shape
-        return cls(tuple(mats), d_in=d_in, d_out=d_out)
+        """Channel of a non-empty sequence (or stack) of equal-shape operators."""
+        arr = np.asarray(ops, dtype=complex)
+        if arr.ndim != 3:
+            raise ValueError(f"expected a non-empty stack of matrices, got shape {arr.shape}")
+        return cls(arr, d_in=arr.shape[2], d_out=arr.shape[1])
 
     def completeness(self) -> np.ndarray:
         """Sum of K† K; equals the identity for trace-preserving channels."""
-        acc = np.zeros((self.d_in, self.d_in), dtype=complex)
-        for k in self.kraus:
-            acc += dagger(k) @ k
-        return acc
+        # Summed product by product rather than as one V†V of the Stinespring
+        # stack: that single product rounds differently (by ~1e-16), which is
+        # enough to rotate the basis `decompose` picks for a degenerate kernel.
+        return (self.kraus.conj().transpose(0, 2, 1) @ self.kraus).sum(axis=0)
 
     def is_trace_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return tol.is_complete(self.completeness())
@@ -158,6 +161,7 @@ def apply_map(m, rho) -> np.ndarray:
     if isinstance(m, KrausChannel):
         if r.shape[0] != m.d_in:
             raise ValueError(f"operand dimension {r.shape[0]} != map input {m.d_in}")
+        # A loop: at 260 operators of d=32, batched matmul-and-sum and tensordot are slower.
         out = np.zeros((m.d_out, m.d_out), dtype=complex)
         for k in m.kraus:
             out += k @ r @ dagger(k)
@@ -177,13 +181,8 @@ def superop_from_map(m) -> Superoperator:
     """Matrix form of a map given in any representation."""
     if isinstance(m, Superoperator):
         return m
-    if isinstance(m, KrausChannel):
-        acc = np.zeros((m.d_out ** 2, m.d_in ** 2), dtype=complex)
-        for k in m.kraus:
-            acc += np.kron(k.conj(), k)
-        return Superoperator(acc, d_in=m.d_in, d_out=m.d_out)
-    if isinstance(m, ChoiMatrix):
-        return Superoperator(_reshuffle(m), d_in=m.d_in, d_out=m.d_out)
+    if isinstance(m, (KrausChannel, ChoiMatrix)):
+        return Superoperator(_reshuffle(choi_from_map(m)), d_in=m.d_in, d_out=m.d_out)
     raise TypeError(f"not a map form: {type(m).__name__}")
 
 
@@ -192,11 +191,9 @@ def choi_from_map(m) -> ChoiMatrix:
     if isinstance(m, ChoiMatrix):
         return m
     if isinstance(m, KrausChannel):
-        c = np.zeros((m.d_in * m.d_out,) * 2, dtype=complex)
-        for k in m.kraus:
-            w = k.T.reshape(-1)
-            c += np.outer(w, w.conj())
-        return ChoiMatrix(c, d_in=m.d_in, d_out=m.d_out)
+        # Row k of `vecs` is vec(K_k) (column-stacked); C = sum_k vec(K_k) vec(K_k)†.
+        vecs = m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1)
+        return ChoiMatrix(vecs.T @ vecs.conj(), d_in=m.d_in, d_out=m.d_out)
     if isinstance(m, Superoperator):
         return ChoiMatrix(_reshuffle(m), d_in=m.d_in, d_out=m.d_out)
     raise TypeError(f"not a map form: {type(m).__name__}")
@@ -214,14 +211,12 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> KrausChanne
     low = float(w.min())
     if low < -tol.eps:
         raise NotCPError(f"Choi eigenvalue {low:.3e} < 0: map is not CP")
-    cutoff = tol.rank_cutoff(float(w.max()))
-    ops = []
-    for k in range(w.size):
-        if w[k] > cutoff:
-            ops.append(np.sqrt(w[k]) * v[:, k].reshape(c.d_in, c.d_out).T)
-    if not ops:
-        ops.append(np.zeros((c.d_out, c.d_in), dtype=complex))
-    return KrausChannel(tuple(ops), d_in=c.d_in, d_out=c.d_out)
+    keep = w > tol.rank_cutoff(float(w.max()))
+    if not keep.any():
+        return KrausChannel(np.zeros((1, c.d_out, c.d_in)), d_in=c.d_in, d_out=c.d_out)
+    # Column k of v is vec(K_k / sqrt(w_k)) in the Choi's input (x) output order.
+    ops = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, c.d_in, c.d_out).transpose(0, 2, 1)
+    return KrausChannel(ops, d_in=c.d_in, d_out=c.d_out)
 
 
 def compose(f, g):
@@ -230,7 +225,8 @@ def compose(f, g):
         raise ValueError(
             f"cannot compose: outer map takes dimension {f.d_in}, inner produces {g.d_out}")
     if isinstance(f, KrausChannel) and isinstance(g, KrausChannel):
-        ops = tuple(kf @ kg for kf in f.kraus for kg in g.kraus)
+        # Operator (i, j) is F_i G_j, in row-major order over (i, j).
+        ops = (f.kraus[:, None] @ g.kraus[None, :]).reshape(-1, f.d_out, g.d_in)
         return KrausChannel(ops, d_in=g.d_in, d_out=f.d_out)
     sf, sg = superop_from_map(f), superop_from_map(g)
     return Superoperator(sf.mat @ sg.mat, d_in=g.d_in, d_out=f.d_out)
@@ -239,7 +235,7 @@ def compose(f, g):
 def adjoint(m):
     """Trace-pairing dual: tr(apply(m, rho) F) == tr(rho apply(adjoint(m), F)) for all rho, F."""
     if isinstance(m, KrausChannel):
-        return KrausChannel(tuple(dagger(k) for k in m.kraus), d_in=m.d_out, d_out=m.d_in)
+        return KrausChannel(m.kraus.conj().transpose(0, 2, 1), d_in=m.d_out, d_out=m.d_in)
     # adjoint(E)(|a><b|)[i, j] = E(|j><i|)[b, a]: reverse all four superoperator indices.
     dual = _tensor(superop_from_map(m)).transpose(3, 2, 1, 0)
     return Superoperator(dual.reshape(m.d_in ** 2, m.d_out ** 2), d_in=m.d_out, d_out=m.d_in)
@@ -273,7 +269,7 @@ def pullback_povm(m, p, tol: Tolerances = DEFAULT_TOL):
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel((np.eye(d, dtype=complex),), d_in=d, d_out=d)
+    return KrausChannel(np.eye(d, dtype=complex)[None], d_in=d, d_out=d)
 
 
 def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
@@ -282,7 +278,7 @@ def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     d = m.shape[0]
     if not tol.is_complete(dagger(m) @ m):
         raise ValueError("operator is not unitary within tolerance")
-    return KrausChannel((m,), d_in=d, d_out=d)
+    return KrausChannel(m[None], d_in=d, d_out=d)
 
 
 def transpose_superoperator(d: int) -> Superoperator:
@@ -295,4 +291,4 @@ def transpose_superoperator(d: int) -> Superoperator:
 def completely_depolarizing(d: int) -> KrausChannel:
     """rho -> tr(rho) I/d."""
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return KrausChannel(tuple(units / np.sqrt(d)), d_in=d, d_out=d)
+    return KrausChannel(units / np.sqrt(d), d_in=d, d_out=d)

@@ -107,7 +107,7 @@ def cmd_decompose(args) -> int:
     recon = decomposition._check_decomposition(channel, effect, conditional, tol)
     _report({"command": "decompose", "label": args.label,
              "effect": serialize.matrix_payload(effect.mat),
-             "conditional_kraus": [serialize.matrix_payload(k) for k in conditional.kraus],
+             "conditional_kraus": serialize.matrix_payload(conditional.kraus),
              "premise": premise.to_dict(),
              "reconstruction_residual": recon,
              "kraus_rank": decomposition.kraus_rank(channel, tol)})

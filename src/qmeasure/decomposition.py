@@ -12,7 +12,7 @@ and callers should compare reconstructions, never the channels themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,13 +29,15 @@ spectral decompositions feed the construction."""
 
 @dataclass(frozen=True)
 class PremiseReport:
-    """Residual of the trace pairing and bounds on the two vanishing terms."""
+    """Residual of the trace pairing and bounds on the two vanishing terms,
+    with the support decomposition of F they were computed from."""
 
     trace_residual: float
     kernel_residual: float
     cross_residual: float
     support_rank: int
     borderline_eigenvalues: tuple[float, ...]
+    support: matkit.SupportDecomposition = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -82,13 +84,12 @@ def verify_premise(b: KrausChannel, f: Effect,
     # so term by term over B's Kraus operators K_i, for every state rho:
     #   ||B(P_ker rho P_ker)||_F <= sum_i ||K_i P_ker||_F^2
     #   ||B(P_sup rho P_ker + P_ker rho P_sup)||_F <= 2 sum_i ||K_i P_sup||_F ||K_i P_ker||_F
-    ops = np.stack(b.kraus)
-    on_kernel = np.linalg.norm(ops @ supp.kernel, axis=(1, 2))
-    on_support = np.linalg.norm(ops @ supp.support, axis=(1, 2))
+    on_kernel = np.linalg.norm(b.kraus @ supp.kernel, axis=(1, 2))
+    on_support = np.linalg.norm(b.kraus @ supp.support, axis=(1, 2))
     kernel_residual = float(np.sum(on_kernel ** 2))
     cross_residual = float(2.0 * np.sum(on_support * on_kernel))
     return PremiseReport(trace_residual, kernel_residual, cross_residual,
-                         support_rank, borderline)
+                         support_rank, borderline, supp)
 
 
 def reconstruction_residual(b: KrausChannel, f: Effect, e: KrausChannel,
@@ -130,18 +131,17 @@ def decompose(b: KrausChannel, f: Effect, check: bool = True,
     kernel.  With check=True (default) the reconstruction and trace
     preservation are re-verified on random states before returning.
     """
-    verify_premise(b, f, tol=tol)
-    supp = matkit.psd_support(f.mat, tol=tol)
-    d, d_out = f.dim, b.d_out
-    ops = [k @ supp.pinv_sqrt for k in b.kraus]
+    supp = verify_premise(b, f, tol=tol).support
+    d, d_out, n = f.dim, b.d_out, len(b.kraus)
     kernel_w, kernel_v = matkit.eigh_desc(supp.kernel, tol)
     bras = kernel_v[:, kernel_w > 0.5].conj().T  # projector spectrum is {0, 1}
-    # Operator (idx, a) has row a = bra_idx / sqrt(d_out) and zeros elsewhere.
-    block = np.zeros((len(bras), d_out, d_out, d), dtype=complex)
+    ops = np.zeros((n + len(bras) * d_out, d_out, d), dtype=complex)
+    ops[:n] = b.kraus @ supp.pinv_sqrt
+    # Kernel operator (idx, a) has row a = bra_idx / sqrt(d_out) and zeros elsewhere.
+    block = ops[n:].reshape(len(bras), d_out, d_out, d)  # a view: writes land in ops
     rows = np.arange(d_out)
     block[:, rows, rows, :] = bras[:, None, :] / np.sqrt(d_out)
-    ops.extend(block.reshape(-1, d_out, d))
-    result = KrausChannel(tuple(ops), d_in=d, d_out=d_out)
+    result = KrausChannel(ops, d_in=d, d_out=d_out)
     if check:
         _check_decomposition(b, f, result, tol)
     return result

@@ -56,10 +56,8 @@ def random_cptp(d_in: int, d_out: int, kraus_count: int, rng,
                 tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     """Random channel: a Stinespring isometry into output (x) environment,
     with the environment traced out (its blocks become the Kraus operators)."""
-    total = d_out * kraus_count
-    v = random_isometry(d_in, total, rng)
-    ops = tuple(v[e * d_out:(e + 1) * d_out, :] for e in range(kraus_count))
-    return KrausChannel(ops, d_in=d_in, d_out=d_out)
+    v = random_isometry(d_in, d_out * kraus_count, rng)
+    return KrausChannel(v.reshape(kraus_count, d_out, d_in), d_in=d_in, d_out=d_out)
 
 
 def random_effect(d: int, rng, zero_eigenvalues: int = 0,
@@ -91,12 +89,10 @@ def random_instrument(d_in: int, n_outcomes: int, kraus_per_outcome: int, rng,
     """Random instrument: Kraus blocks of one random channel, grouped per outcome."""
     if d_out is None:
         d_out = d_in
-    ch = random_cptp(d_in, d_out, n_outcomes * kraus_per_outcome, rng, tol)
-    outs = []
-    for mu in range(n_outcomes):
-        block = ch.kraus[mu * kraus_per_outcome:(mu + 1) * kraus_per_outcome]
-        outs.append((str(mu), KrausChannel(tuple(block), d_in=d_in, d_out=d_out)))
-    return Instrument(tuple(outs), tol)
+    v = random_isometry(d_in, d_out * n_outcomes * kraus_per_outcome, rng)
+    blocks = v.reshape(n_outcomes, kraus_per_outcome, d_out, d_in)
+    return Instrument(tuple((str(mu), KrausChannel(block, d_in=d_in, d_out=d_out))
+                            for mu, block in enumerate(blocks)), tol)
 
 
 def random_ensemble(d: int, n_members: int, rng,
@@ -458,7 +454,7 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
         f = random_effect(d, rng, zero_eigenvalues=int(rng.integers(0, d)), tol=tol)
         e0 = random_cptp(d, d, int(rng.integers(1, d + 1)), rng, tol)
         root = matkit.psd_sqrt(f.mat, tol)
-        b = KrausChannel(tuple(k @ root for k in e0.kraus), d_in=d, d_out=d)
+        b = KrausChannel(e0.kraus @ root, d_in=d, d_out=d)
         premise = verify_premise(b, f, tol=tol)
         e = decompose(b, f, check=False, tol=tol)
         recon = reconstruction_residual(b, f, e, seed=trial_seed, tol=tol)

@@ -111,13 +111,15 @@ class HermitianDecomposition(NamedTuple):
 
 
 def _phase_fixed(v: np.ndarray, eps: float) -> np.ndarray:
-    """Rotate the global phase so the first significant component is positive real."""
-    idx = np.flatnonzero(np.abs(v) > eps)
-    anchor = int(idx[0]) if idx.size else int(np.argmax(np.abs(v)))
-    z = v[anchor]
-    if abs(z) == 0.0:
-        return v
-    return v * (z.conjugate() / abs(z))
+    """Rotate each column's global phase so its first significant entry is positive real
+    (the largest entry when none exceeds eps; all-zero columns stay as they are)."""
+    mag = np.abs(v)
+    significant = mag > eps
+    anchor = np.where(significant.any(axis=0), significant.argmax(axis=0), mag.argmax(axis=0))
+    picked = anchor, np.arange(v.shape[1])
+    phase = np.ones(v.shape[1], dtype=complex)
+    np.divide(v[picked].conj(), mag[picked], out=phase, where=mag[picked] != 0.0)
+    return v * phase
 
 
 def eigh_desc(a, tol: Tolerances = DEFAULT_TOL) -> HermitianDecomposition:
@@ -129,17 +131,15 @@ def eigh_desc(a, tol: Tolerances = DEFAULT_TOL) -> HermitianDecomposition:
     """
     m = require_square(a)
     w, v = np.linalg.eigh(hermitian_part(m))
-    cols = [_phase_fixed(v[:, k], tol.eps) for k in range(v.shape[1])]
-
-    def sort_key(k: int):
-        ent = np.round(cols[k], 12)
-        return (-round(float(w[k]), 12),
-                tuple(zip((-ent.real).tolist(), (-ent.imag).tolist())))
-
-    order = sorted(range(len(w)), key=sort_key)
-    values = np.array([float(w[k]) for k in order])
-    vectors = np.column_stack([cols[k] for k in order])
-    return HermitianDecomposition(values, vectors)
+    cols = _phase_fixed(v, tol.eps)
+    # Sort keys, most significant first: the eigenvalue rounded to 12 places
+    # (Python's correctly rounded `round`; np.round can differ in the last
+    # place), descending, then each entry's rounded real and imaginary part, in
+    # entry order, descending.  lexsort reads its keys last-first and is stable.
+    entry_keys = -np.round(np.ascontiguousarray(cols.T).view(float), 12)  # row k: column k
+    value_key = [-round(float(x), 12) for x in w]
+    order = np.lexsort(np.vstack([entry_keys.T[::-1], value_key]))
+    return HermitianDecomposition(w[order], cols[:, order])
 
 
 def tensor_product(a, b) -> np.ndarray:

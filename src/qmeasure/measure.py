@@ -3,7 +3,7 @@ states, and fusion of successive measurements into a single one."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,17 +54,16 @@ class Povm:
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("POVM needs at least one outcome")
-        labels = [label for label, _ in self.outcomes]
-        if len(set(labels)) != len(labels):
+        outcomes = tuple((str(label), eff) for label, eff in self.outcomes)
+        if len({label for label, _ in outcomes}) != len(outcomes):
             raise ValueError("POVM outcome labels must be unique")
-        dims = {eff.dim for _, eff in self.outcomes}
+        dims = {eff.dim for _, eff in outcomes}
         if len(dims) != 1:
             raise ValueError("POVM effects live on different dimensions")
-        violation = self.tol.completeness_violation(sum(eff.mat for _, eff in self.outcomes))
+        violation = self.tol.completeness_violation(sum(eff.mat for _, eff in outcomes))
         if violation:
             raise ValueError("POVM completeness residual %.3e exceeds %.3e" % violation)
-        object.__setattr__(self, "outcomes",
-                           tuple((str(label), eff) for label, eff in self.outcomes))
+        object.__setattr__(self, "outcomes", outcomes)
 
     @classmethod
     def from_effects(cls, mats, labels=None, tol: Tolerances = DEFAULT_TOL) -> "Povm":
@@ -96,36 +95,38 @@ class Povm:
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """Outcome-labelled CP maps whose total is trace preserving."""
+    """Outcome-labelled CP maps whose total is trace preserving.
+
+    `povm` is the induced POVM (per outcome, F = sum K† K), built once here, so
+    an instrument that constructs always induces a POVM.
+    """
 
     outcomes: tuple[tuple[str, KrausChannel], ...]
     tol: Tolerances = DEFAULT_TOL
+    povm: Povm = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("instrument needs at least one outcome")
-        labels = [label for label, _ in self.outcomes]
-        if len(set(labels)) != len(labels):
+        outcomes = tuple((str(label), ch) for label, ch in self.outcomes)
+        if len({label for label, _ in outcomes}) != len(outcomes):
             raise ValueError("instrument outcome labels must be unique")
-        d_ins = {ch.d_in for _, ch in self.outcomes}
-        d_outs = {ch.d_out for _, ch in self.outcomes}
+        d_ins = {ch.d_in for _, ch in outcomes}
+        d_outs = {ch.d_out for _, ch in outcomes}
         if len(d_ins) != 1 or len(d_outs) != 1:
             raise ValueError("instrument outcome maps must share input and output dimensions")
-        # The checks induced_povm makes, on the same matrices: the total of the
-        # effects sum K†K, then each effect, so an instrument that constructs
-        # always induces a POVM.
-        effect_mats = [ch.completeness() for _, ch in self.outcomes]
-        violation = self.tol.completeness_violation(
-            sum(matkit.hermitian_part(m) for m in effect_mats))
-        if violation:
-            raise ValueError("instrument total-trace residual %.3e exceeds %.3e" % violation)
-        for label, m in zip(labels, effect_mats):
+        effects = []
+        for label, ch in outcomes:
             try:
-                Effect(m, self.tol)
+                effects.append((label, Effect(ch.completeness(), self.tol)))
             except ValueError as exc:
                 raise ValueError(f"instrument outcome {label!r}: {exc}") from None
-        object.__setattr__(self, "outcomes",
-                           tuple((str(label), ch) for label, ch in self.outcomes))
+        try:
+            povm = Povm(tuple(effects), self.tol)
+        except ValueError as exc:
+            raise ValueError(f"instrument total trace: {exc}") from None
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "povm", povm)
 
     @property
     def d_in(self) -> int:
@@ -169,9 +170,7 @@ def probabilities(rho: DensityOperator, p: Povm) -> list[tuple[str, float]]:
 
 def induced_povm(inst: Instrument) -> Povm:
     """The POVM the instrument implements: per outcome, F = sum K† K."""
-    effects = tuple((label, Effect(ch.completeness(), inst.tol))
-                    for label, ch in inst.outcomes)
-    return Povm(effects, inst.tol)
+    return inst.povm
 
 
 def luders_from_povm(p: Povm) -> Instrument:
@@ -179,7 +178,7 @@ def luders_from_povm(p: Povm) -> Instrument:
     outs = []
     for label, eff in p.outcomes:
         root = matkit.psd_sqrt(eff.mat, p.tol)
-        outs.append((label, KrausChannel((root,), d_in=p.dim, d_out=p.dim)))
+        outs.append((label, KrausChannel(root[None], d_in=p.dim, d_out=p.dim)))
     return Instrument(tuple(outs), p.tol)
 
 
@@ -198,7 +197,7 @@ def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrume
     if labels is None:
         labels = [str(i) for i in range(len(mats))]
     outs = tuple(
-        (str(label), KrausChannel((m,), d_in=m.shape[1], d_out=m.shape[0]))
+        (str(label), KrausChannel(m[None], d_in=m.shape[1], d_out=m.shape[0]))
         for label, m in zip(labels, mats))
     return Instrument(outs, tol)
 
@@ -226,8 +225,7 @@ def from_effect_channel_pairs(pairs, labels=None, tol: Tolerances = DEFAULT_TOL)
             raise ValueError(f"conditional channel for outcome {label!r} is not trace preserving")
         root = matkit.psd_sqrt(effect.mat, tol)
         outs.append((str(label),
-                     KrausChannel(tuple(k @ root for k in ch.kraus),
-                                  d_in=effect.dim, d_out=ch.d_out)))
+                     KrausChannel(ch.kraus @ root, d_in=effect.dim, d_out=ch.d_out)))
     return Instrument(tuple(outs), tol)
 
 

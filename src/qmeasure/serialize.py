@@ -61,7 +61,8 @@ def _emit(node, out: list) -> None:
 
 
 def matrix_payload(m) -> list:
-    """Row-major nested lists with [re, im] complex entries."""
+    """Row-major nested lists with [re, im] complex entries (a list of such
+    matrices for a stack, such as a channel's Kraus array)."""
     a = np.asarray(m, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
@@ -76,14 +77,13 @@ def to_payload(obj) -> dict:
                                       for label, eff in obj.outcomes]}}
     if isinstance(obj, KrausChannel):
         return {"kind": "kraus_channel", "dims": [obj.d_in, obj.d_out],
-                "data": {"kraus": [matrix_payload(k) for k in obj.kraus]}}
+                "data": {"kraus": matrix_payload(obj.kraus)}}
     if isinstance(obj, Superoperator):
         return {"kind": "superoperator", "dims": [obj.d_in, obj.d_out],
                 "data": {"mat": matrix_payload(obj.mat)}}
     if isinstance(obj, Instrument):
         return {"kind": "instrument", "dims": [obj.d_in, obj.d_out],
-                "data": {"outcomes": [{"label": label,
-                                       "kraus": [matrix_payload(k) for k in ch.kraus]}
+                "data": {"outcomes": [{"label": label, "kraus": matrix_payload(ch.kraus)}
                                       for label, ch in obj.outcomes]}}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -230,13 +230,12 @@ def build(parsed: dict, tol: Tolerances = DEFAULT_TOL):
     if kind == "povm":
         return Povm.from_effects(parsed["mats"], labels=parsed["labels"], tol=tol)
     if kind == "kraus_channel":
-        return KrausChannel(tuple(parsed["kraus"]),
-                            d_in=parsed["d_in"], d_out=parsed["d_out"])
+        return KrausChannel(parsed["kraus"], d_in=parsed["d_in"], d_out=parsed["d_out"])
     if kind == "superoperator":
         return Superoperator(parsed["mat"], d_in=parsed["d_in"], d_out=parsed["d_out"])
     if kind == "instrument":
         outs = tuple(
-            (label, KrausChannel(tuple(ops), d_in=parsed["d_in"], d_out=parsed["d_out"]))
+            (label, KrausChannel(ops, d_in=parsed["d_in"], d_out=parsed["d_out"]))
             for label, ops in parsed["outcomes"])
         return Instrument(outs, tol)
     raise ParseError(f"unknown kind {kind!r}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmeasure import harness
+from qmeasure import harness, matkit
 from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
                                apply_map, choi_from_map, completely_depolarizing,
                                compose, identity_channel, kraus_from_choi,
@@ -58,6 +58,87 @@ def test_kraus_from_choi_of_identity():
     assert len(k.kraus) == 1
     # unique up to global phase; the phase convention fixes it to +I
     np.testing.assert_allclose(k.kraus[0], np.eye(2), atol=1e-10)
+
+
+# --- the stacked Kraus array ----------------------------------------------
+
+def test_kraus_constructor_rejects_malformed_stacks():
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError):
+        KrausChannel((), d_in=2, d_out=2)
+    with pytest.raises(ValueError):
+        KrausChannel(np.zeros((0, 2, 2)), d_in=2, d_out=2)
+    with pytest.raises(ValueError):
+        KrausChannel((eye, np.eye(3)), d_in=2, d_out=2)
+    with pytest.raises(ValueError):
+        KrausChannel((eye,), d_in=3, d_out=2)
+    with pytest.raises(ValueError):
+        KrausChannel(eye, d_in=2, d_out=2)
+    bad = eye.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        KrausChannel((eye, bad), d_in=2, d_out=2)
+
+
+def test_kraus_array_is_a_read_only_copy():
+    ops = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
+    ch = KrausChannel(ops, d_in=2, d_out=2)
+    assert isinstance(ch.kraus, np.ndarray) and ch.kraus.shape == (2, 2, 2)
+    assert not ch.kraus.flags.writeable
+    with pytest.raises(ValueError):
+        ch.kraus[0, 0, 0] = 5.0
+    ops[0, 0, 0] = 5.0
+    assert ch.kraus[0, 0, 0] == 1.0
+    assert len(ch.kraus) == 2 and [k.shape for k in ch.kraus] == [(2, 2), (2, 2)]
+
+
+def loop_completeness(ch):
+    return sum(k.conj().T @ k for k in ch.kraus)
+
+
+def loop_choi(ch):
+    vecs = [k.T.reshape(-1) for k in ch.kraus]  # column-stacked vec(K)
+    return sum(np.outer(w, w.conj()) for w in vecs)
+
+
+def loop_superop(ch):
+    return sum(np.kron(k.conj(), k) for k in ch.kraus)
+
+
+def loop_kraus_from_choi(c):
+    w, v = matkit.eigh_desc(c.mat)
+    cutoff = matkit.DEFAULT_TOL.rank_cutoff(float(w.max()))
+    return [np.sqrt(w[k]) * v[:, k].reshape(c.d_in, c.d_out).T
+            for k in range(w.size) if w[k] > cutoff]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+def test_stacked_kraus_forms_match_per_operator_loops(dims, n):
+    d_in, d_out = dims
+    rng = np.random.default_rng(100 * d_in + 10 * d_out + n)
+
+    # Plain CP maps: with n = 1 and d_out < d_in none is trace preserving.
+    def random_cp(d_in, d_out):
+        g = rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal((n, d_out, d_in))
+        return KrausChannel(g / 2, d_in=d_in, d_out=d_out)
+
+    ch = random_cp(d_in, d_out)
+    tol = 1e-12
+    np.testing.assert_allclose(ch.completeness(), loop_completeness(ch), rtol=0, atol=tol)
+    np.testing.assert_allclose(choi_from_map(ch).mat, loop_choi(ch), rtol=0, atol=tol)
+    np.testing.assert_allclose(superop_from_map(ch).mat, loop_superop(ch), rtol=0, atol=tol)
+    dual = adjoint(ch)
+    assert (dual.d_in, dual.d_out) == (d_out, d_in)
+    np.testing.assert_allclose(dual.kraus, [k.conj().T for k in ch.kraus], rtol=0, atol=tol)
+    outer = random_cp(d_out, d_in)
+    both = compose(outer, ch)
+    assert (both.d_in, both.d_out) == (d_in, d_in)
+    np.testing.assert_allclose(both.kraus, [f @ g for f in outer.kraus for g in ch.kraus],
+                               rtol=0, atol=tol)
+    c = choi_from_map(ch)
+    np.testing.assert_allclose(kraus_from_choi(c).kraus, loop_kraus_from_choi(c),
+                               rtol=0, atol=tol)
 
 
 def test_kraus_from_choi_rejects_transpose():

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qmeasure import harness, serialize
-from qmeasure.channels import KrausChannel, transpose_superoperator
+from qmeasure.channels import KrausChannel, superop_from_map, transpose_superoperator
 from qmeasure.cli import main
 from qmeasure.measure import Povm, fuse_sequential, luders_from_povm
 from qmeasure.states import DensityOperator
@@ -41,20 +43,27 @@ def error_record(capsys, code):
 
 # --- serialization ---------------------------------------------------------
 
-def test_round_trip_is_byte_identical(tmp_path):
-    rng = np.random.default_rng(3)
-    objects = [
-        harness.random_density(3, rng),
-        harness.random_povm(2, 3, rng),
-        harness.random_cptp(2, 3, 2, rng),
-        transpose_superoperator(2),
-        harness.random_instrument(2, 2, 2, rng),
-    ]
-    for idx, obj in enumerate(objects):
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       dims=st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda d: d[0] != d[1]),
+       kraus_count=st.integers(1, 3))
+def test_round_trip_is_byte_identical(seed, dims, kraus_count):
+    d_in, d_out = dims
+    assume(d_out * kraus_count >= d_in)  # else no such channel is trace preserving
+    rng = np.random.default_rng(seed)
+    channel = harness.random_cptp(d_in, d_out, kraus_count, rng)
+    objects = {
+        "density": harness.random_density(d_in, rng),
+        "povm": harness.random_povm(d_in, kraus_count, rng),
+        "kraus_channel": channel,
+        "superoperator": superop_from_map(channel),
+        "instrument": harness.random_instrument(d_in, 2, kraus_count, rng, d_out=d_out),
+    }
+    for kind, obj in objects.items():
         text1 = serialize.to_text(obj)
-        back = serialize.from_text(text1)
-        text2 = serialize.to_text(back)
-        assert text1 == text2, f"object {idx} did not round trip byte-identically"
+        assert serialize.parse_text(text1)["kind"] == kind
+        text2 = serialize.to_text(serialize.from_text(text1))
+        assert text1 == text2, f"{kind} did not round trip byte-identically"
 
 
 def test_parse_rejects_garbage():

@@ -27,6 +27,17 @@ def maps_equal(a, b, atol):
     return np.max(np.abs(choi_from_map(a).mat - choi_from_map(b).mat)) <= atol
 
 
+def test_premise_report_carries_the_support_of_f_outside_its_dict():
+    rng = np.random.default_rng(17)
+    f = harness.random_effect(3, rng, zero_eigenvalues=1)
+    report = verify_premise(compose_with_luders(harness.random_cptp(3, 3, 2, rng), f.mat), f)
+    assert set(report.to_dict()) == {"trace_residual", "kernel_residual", "cross_residual",
+                                     "support_rank", "borderline_eigenvalues"}
+    expected = matkit.psd_support(f.mat)
+    for got, want in zip(report.support, expected):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_premise_passes_for_luders_pair():
     rng = np.random.default_rng(1)
     f = harness.random_effect(3, rng)

@@ -251,6 +251,37 @@ def test_eigh_desc_orders_degenerate_blocks_after_phase_fixing():
     np.testing.assert_allclose(v, expected, atol=1e-12)
 
 
+def loop_eigh_desc(a, eps=DEFAULT_TOL.eps):
+    """Per-column reference: phase-fix each eigenvector, then sort on Python tuples."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    cols = []
+    for k in range(w.size):
+        col = v[:, k]
+        idx = np.flatnonzero(np.abs(col) > eps)
+        z = col[idx[0]] if idx.size else col[np.argmax(np.abs(col))]
+        cols.append(col * (z.conjugate() / abs(z)) if abs(z) else col)
+
+    def key(k):
+        ent = np.round(cols[k], 12)
+        return -round(float(w[k]), 12), tuple(zip((-ent.real).tolist(), (-ent.imag).tolist()))
+
+    order = sorted(range(w.size), key=key)
+    return w[order], np.column_stack([cols[k] for k in order])
+
+
+def test_eigh_desc_matches_the_per_column_sort_on_degenerate_spectra():
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        d = int(rng.integers(1, 7))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        vals = rng.integers(0, 3, size=d).astype(float)  # repeated eigenvalues
+        a = q @ np.diag(vals) @ q.conj().T if trial % 2 else np.diag(vals).astype(complex)
+        w, v = eigh_desc(a)
+        w_ref, v_ref = loop_eigh_desc(a)
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_allclose(v, v_ref, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"eps": float("nan")}, {"eps": -1.0}, {"eps": 0.0}, {"eps": float("inf")},
     {"rank_tol_factor": float("inf")}, {"rank_tol_factor": -1e-9},

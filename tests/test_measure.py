@@ -73,6 +73,29 @@ def test_povm_completeness_checked():
         Povm.from_effects([0.9 * np.diag([1.0, 0.0]), 0.9 * np.diag([0.0, 1.0])])
 
 
+def test_labels_are_unique_after_conversion_to_strings():
+    half = Effect(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="labels must be unique"):
+        Povm(((1, half), ("1", half)))
+    ch = KrausChannel.from_ops([np.eye(2) / np.sqrt(2)])
+    with pytest.raises(ValueError, match="labels must be unique"):
+        Instrument(((1, ch), ("1", ch)))
+
+
+def test_instrument_builds_its_induced_povm_once():
+    inst = harness.random_instrument(3, 3, 2, np.random.default_rng(8))
+    povm = induced_povm(inst)
+    assert povm is induced_povm(inst) and povm.labels == inst.labels
+    for (_, ch), eff in zip(inst.outcomes, povm.effects):
+        np.testing.assert_allclose(eff.mat, ch.completeness(), rtol=0, atol=1e-15)
+
+
+def test_incomplete_instrument_names_the_total():
+    ch = KrausChannel.from_ops([np.diag([1.0, 0.0])])
+    with pytest.raises(ValueError, match="instrument total trace: .*completeness residual"):
+        Instrument((("0", ch),))
+
+
 def test_induced_povm_of_luders_round_trips():
     povm = trine_povm()
     back = induced_povm(luders_from_povm(povm))
