@@ -68,9 +68,8 @@ class KrausChannel:
         return tol.is_complete(self.completeness())
 
     def is_trace_nonincreasing(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        deficit = np.eye(self.d_in) - self.completeness()
-        low = float(np.linalg.eigvalsh(matkit.hermitian_part(deficit)).min())
-        return low >= -tol.eps
+        w = np.linalg.eigvalsh(matkit.hermitian_part(self.completeness()))
+        return tol.spectrum_violation(w, upper=1.0) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +86,6 @@ class Superoperator:
             raise ValueError(
                 f"superoperator shape {m.shape} != ({self.d_out ** 2}, {self.d_in ** 2})")
         object.__setattr__(self, "mat", matkit.freeze(m))
-
-    @classmethod
-    def from_matrix(cls, mat, d_in: int | None = None, d_out: int | None = None) -> "Superoperator":
-        m = matkit.require_matrix(mat)
-        if d_in is None:
-            d_in = int(round(np.sqrt(m.shape[1])))
-        if d_out is None:
-            d_out = int(round(np.sqrt(m.shape[0])))
-        return cls(m, d_in=int(d_in), d_out=int(d_out))
 
     @classmethod
     def from_sandwich_pairs(cls, pairs, d_in: int, d_out: int) -> "Superoperator":
@@ -129,7 +119,8 @@ class ChoiMatrix:
         return matkit.is_hermitian(self.mat, tol.eps)
 
     def is_cp(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return self.is_hermitian_preserving(tol) and self.min_eigenvalue() >= -tol.eps
+        w = np.linalg.eigvalsh(matkit.hermitian_part(self.mat))
+        return self.is_hermitian_preserving(tol) and tol.spectrum_violation(w) is None
 
 
 def _tensor(m) -> np.ndarray:
@@ -208,9 +199,9 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> KrausChanne
     if not matkit.is_hermitian(c.mat, tol.eps):
         raise NotCPError("Choi matrix is not Hermitian: map is not CP")
     w, v = matkit.eigh_desc(c.mat, tol)
-    low = float(w.min())
-    if low < -tol.eps:
-        raise NotCPError(f"Choi eigenvalue {low:.3e} < 0: map is not CP")
+    excess = tol.spectrum_violation(w)
+    if excess is not None:
+        raise NotCPError(f"Choi eigenvalue {-excess:.3e} < 0: map is not CP")
     keep = w > tol.rank_cutoff(float(w.max()))
     if not keep.any():
         return KrausChannel(np.zeros((1, c.d_out, c.d_in)), d_in=c.d_in, d_out=c.d_out)
@@ -245,7 +236,7 @@ def pullback_povm(m, p, tol: Tolerances = DEFAULT_TOL):
     """Effects of measuring p after evolving through the trace-preserving map m.
 
     Raises NonPositiveEffectError when a pulled-back element fails the
-    spectral positivity check (such a map cannot precede a measurement).
+    Effect check (such a map cannot precede a measurement).
     """
     from .measure import Effect, Povm
 
@@ -256,15 +247,10 @@ def pullback_povm(m, p, tol: Tolerances = DEFAULT_TOL):
         raise ValueError(f"POVM dimension {p.dim} != map output dimension {m.d_out}")
     pulled = []
     for label, eff in p.outcomes:
-        mat = apply_map(dual, eff.mat)
-        herm = matkit.hermitian_part(mat)
-        if np.max(np.abs(mat - herm)) > tol.eps:
-            raise NonPositiveEffectError(f"pulled-back effect {label!r} is not Hermitian")
-        low = float(np.linalg.eigvalsh(herm).min())
-        if low < -tol.eps:
-            raise NonPositiveEffectError(
-                f"pulled-back effect {label!r} has eigenvalue {low:.3e}")
-        pulled.append((label, Effect(herm, tol)))
+        try:
+            pulled.append((label, Effect(apply_map(dual, eff.mat), tol)))
+        except ValueError as exc:
+            raise NonPositiveEffectError(f"pulled-back effect {label!r}: {exc}") from None
     return Povm(tuple(pulled), tol)
 
 

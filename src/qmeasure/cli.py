@@ -38,20 +38,9 @@ def _tolerances(args) -> Tolerances:
 
 
 def _load(path: str, wanted, tol: Tolerances):
-    """The object in the file at `path`, which must be a `wanted`.
-
-    Parse errors, invariant violations and a wrong kind name the file.
-    """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise serialize.ParseError(f"{path}: not UTF-8 text: {exc}") from None
-    try:
-        obj = serialize.build(serialize.parse_text(text), tol)
-    except ValueError as exc:  # ParseError included
-        exc.args = (f"{path}: {exc}",)
-        raise
+    """The object in the file at `path`, which must be a `wanted`; a wrong
+    kind, like every `serialize.read_file` failure, names the file."""
+    obj = serialize.read_file(path, tol)
     if not isinstance(obj, wanted):
         names = wanted.__name__ if isinstance(wanted, type) else \
             "/".join(w.__name__ for w in wanted)

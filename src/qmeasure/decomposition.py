@@ -59,20 +59,22 @@ def verify_premise(b: KrausChannel, f: Effect,
                    tol: Tolerances = DEFAULT_TOL) -> PremiseReport:
     """Check tr(B(rho)) = tr(rho F) and bound the kernel and cross terms.
 
-    The trace pairing is checked exactly on the matrix-unit basis, where it
-    reduces to sum K†K == F.  The kernel term B(P_ker rho P_ker) and the cross
-    term B(P_sup rho P_ker + P_ker rho P_sup) are bounded over all states at
-    once from the operators K P_ker and K P_sup, so the reported residuals
-    hold for every rho, not only for sampled ones.  Raises
+    The trace pairing is checked for all states at once through the operator
+    identity sum K†K == F, in spectral norm.  The kernel term B(P_ker rho P_ker)
+    and the cross term B(P_sup rho P_ker + P_ker rho P_sup) are bounded over all
+    states at once from the operators K P_ker and K P_sup, so the reported
+    residuals hold for every rho, not only for sampled ones.  Raises
     PremiseViolatedError when the pairing fails; the vanishing terms are
     reported, not enforced.
     """
     if b.d_in != f.dim:
         raise ValueError(f"map input dimension {b.d_in} != effect dimension {f.dim}")
-    trace_residual = float(np.max(np.abs(b.completeness() - f.mat)))
+    # For every state, |tr B(rho) - tr(rho F)| = |tr(rho (sum_i K_i†K_i - F))|
+    #                                       <= ||rho||_1 ||sum_i K_i†K_i - F||_2.
+    trace_residual = float(np.linalg.norm(b.completeness() - f.mat, 2))
     if trace_residual > PREMISE_SLACK * tol.eps:
         raise PremiseViolatedError(
-            f"tr(B(rho)) != tr(rho F): basis residual {trace_residual:.3e}")
+            f"tr(B(rho)) != tr(rho F): spectral residual {trace_residual:.3e}")
 
     supp = matkit.psd_support(f.mat, tol=tol)
     w = supp.eigenvalues

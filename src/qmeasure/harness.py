@@ -35,13 +35,6 @@ def random_density(d: int, rng, rank: int | None = None,
     return DensityOperator(m / float(np.trace(m).real), tol)
 
 
-def random_unitary(d: int, rng) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases[None, :]
-
-
 def random_isometry(d_in: int, d_total: int, rng) -> np.ndarray:
     """d_total x d_in matrix with orthonormal columns (requires d_total >= d_in)."""
     if d_total < d_in:
@@ -52,8 +45,11 @@ def random_isometry(d_in: int, d_total: int, rng) -> np.ndarray:
     return q * phases[None, :]
 
 
-def random_cptp(d_in: int, d_out: int, kraus_count: int, rng,
-                tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def random_unitary(d: int, rng) -> np.ndarray:
+    return random_isometry(d, d, rng)
+
+
+def random_cptp(d_in: int, d_out: int, kraus_count: int, rng) -> KrausChannel:
     """Random channel: a Stinespring isometry into output (x) environment,
     with the environment traced out (its blocks become the Kraus operators)."""
     v = random_isometry(d_in, d_out * kraus_count, rng)
@@ -202,11 +198,10 @@ class EnsembleEquivalenceReport:
 
 
 def check_ensemble_equivalence(e1: Ensemble, e2: Ensemble, program,
-                               witness_tol: float = 1e-10,
                                tol: Tolerances = DEFAULT_TOL) -> EnsembleEquivalenceReport:
     """Compare outcome statistics of two ensembles with the same average state.
 
-    A statistics gap above witness_tol is returned as a signaling witness.
+    A statistics gap above eps / 10 is returned as a signaling witness.
     """
     gap = float(np.max(np.abs(mix(e1).mat - mix(e2).mat)))
     if gap > tol.eps:
@@ -219,7 +214,7 @@ def check_ensemble_equivalence(e1: Ensemble, e2: Ensemble, program,
         diff = abs(d1.get(key, 0.0) - d2.get(key, 0.0))
         if diff > max_diff:
             max_diff = diff
-            if diff > witness_tol:
+            if diff > tol.eps / 10:
                 witness = {"outcomes": list(key),
                            "p_first": d1.get(key, 0.0),
                            "p_second": d2.get(key, 0.0)}
@@ -287,9 +282,6 @@ class CorrelatedEnvReport:
     initial_residual: float
     distinguishability: float
     note: str
-
-    def passed(self, eps: float = 1e-9) -> bool:
-        return self.initial_residual <= eps and self.distinguishability > 1.0
 
 
 def correlated_env_demo(tol: Tolerances = DEFAULT_TOL) -> CorrelatedEnvReport:
@@ -452,7 +444,7 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
         rng = np.random.default_rng(trial_seed)
         d = int(rng.choice(dims))
         f = random_effect(d, rng, zero_eigenvalues=int(rng.integers(0, d)), tol=tol)
-        e0 = random_cptp(d, d, int(rng.integers(1, d + 1)), rng, tol)
+        e0 = random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
         root = matkit.psd_sqrt(f.mat, tol)
         b = KrausChannel(e0.kraus @ root, d_in=d, d_out=d)
         premise = verify_premise(b, f, tol=tol)
@@ -462,7 +454,7 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
         vanish = max(premise.kernel_residual, premise.cross_residual)
         max_res = max(max_res, recon, tp_res)
         max_vanish = max(max_vanish, vanish)
-        if recon > 1e-9 or tp_res > 1e-9 or vanish > 1e-10:
+        if recon > tol.eps or tp_res > tol.eps or vanish > tol.eps / 10:
             witnesses.append({"trial": i, "seed": trial_seed, "dim": d,
                               "reconstruction": recon, "trace_preservation": tp_res,
                               "vanishing": vanish})

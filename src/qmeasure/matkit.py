@@ -49,6 +49,23 @@ class Tolerances:
     def is_complete(self, total) -> bool:
         return self.completeness_violation(total) is None
 
+    def spectrum_violation(self, w, upper: float = math.inf) -> float | None:
+        """How far the eigenvalues `w` leave [0, upper] when that exceeds eps, else None.
+
+        upper = inf is positivity (states, Choi matrices); upper = 1 is 0 <= F <= I.
+        """
+        w = np.asarray(w)
+        excess = max(-float(w.min()), float(w.max()) - upper)
+        return excess if excess > self.eps else None
+
+    def hermitian(self, a, what: str) -> np.ndarray:
+        """Hermitian part of the square matrix `a`, which must equal its adjoint
+        within eps entrywise; the ValueError otherwise names `what`."""
+        m = require_square(a)
+        if not is_hermitian(m, self.eps):
+            raise ValueError(f"{what} is not Hermitian within tolerance")
+        return hermitian_part(m)
+
 
 DEFAULT_TOL = Tolerances()
 
@@ -166,13 +183,10 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
 
 def _psd_eigh(a, tol: Tolerances) -> HermitianDecomposition:
     """eigh_desc of a matrix checked Hermitian and PSD within eps."""
-    m = require_square(a)
-    if not is_hermitian(m, tol.eps):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    dec = eigh_desc(m, tol)
-    low = float(dec.eigenvalues.min())
-    if low < -tol.eps:
-        raise NotPSDError(f"eigenvalue {low:.3e} is below -eps = {-tol.eps:.1e}")
+    dec = eigh_desc(tol.hermitian(a, "matrix"), tol)
+    excess = tol.spectrum_violation(dec.eigenvalues)
+    if excess is not None:
+        raise NotPSDError(f"eigenvalue {-excess:.3e} is below -eps = {-tol.eps:.1e}")
     return dec
 
 
@@ -200,16 +214,14 @@ class SupportDecomposition(NamedTuple):
     eigenvalues: np.ndarray
 
 
-def psd_support(a, rank_tol: float | None = None,
-                tol: Tolerances = DEFAULT_TOL) -> SupportDecomposition:
+def psd_support(a, tol: Tolerances = DEFAULT_TOL) -> SupportDecomposition:
     """Split a PSD matrix into its support and kernel sectors.
 
     pinv_sqrt vanishes on the kernel and satisfies
     pinv_sqrt @ a @ pinv_sqrt == support projector.
     """
     w, v = _psd_eigh(a, tol)
-    cutoff = tol.rank_cutoff(float(w.max())) if rank_tol is None else float(rank_tol)
-    mask = w > cutoff
+    mask = w > tol.rank_cutoff(float(w.max()))
     vs = v[:, mask]
     support = vs @ dagger(vs)
     kernel = np.eye(w.size, dtype=complex) - support

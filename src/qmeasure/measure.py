@@ -27,16 +27,11 @@ class Effect:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        m = matkit.require_square(self.mat)
-        eps = self.tol.eps
-        if not matkit.is_hermitian(m, eps):
-            raise ValueError("effect is not Hermitian within tolerance")
-        m = matkit.hermitian_part(m)
-        w = np.linalg.eigvalsh(m)
-        if float(w.min()) < -eps or float(w.max()) > 1.0 + eps:
-            excess = max(-float(w.min()), float(w.max()) - 1.0)
+        m = self.tol.hermitian(self.mat, "effect")
+        excess = self.tol.spectrum_violation(np.linalg.eigvalsh(m), upper=1.0)
+        if excess is not None:
             raise ValueError(
-                f"effect spectrum leaves [0, 1] by {excess:.3e} (eps = {eps:.3e})")
+                f"effect spectrum leaves [0, 1] by {excess:.3e} (eps = {self.tol.eps:.3e})")
         object.__setattr__(self, "mat", matkit.freeze(m))
 
     @property

@@ -246,5 +246,15 @@ def from_text(text: str, tol: Tolerances = DEFAULT_TOL):
 
 
 def read_file(path, tol: Tolerances = DEFAULT_TOL):
+    """The object in the file at `path`; parse errors and invariant violations
+    name the file, and a file that is not UTF-8 text is a ParseError."""
     with open(path, encoding="utf-8") as fh:
-        return from_text(fh.read(), tol)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    try:
+        return from_text(text, tol)
+    except ValueError as exc:  # ParseError included
+        exc.args = (f"{path}: {exc}",)
+        raise

@@ -32,15 +32,12 @@ class DensityOperator:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        m = matkit.require_square(self.mat)
+        m = self.tol.hermitian(self.mat, "density operator")
         eps = self.tol.eps
-        if not matkit.is_hermitian(m, eps):
-            raise ValueError("density operator is not Hermitian within tolerance")
-        m = matkit.hermitian_part(m)
-        low = float(np.linalg.eigvalsh(m).min())
-        if low < -eps:
+        excess = self.tol.spectrum_violation(np.linalg.eigvalsh(m))
+        if excess is not None:
             raise ValueError(
-                f"density operator has negative eigenvalue {low:.3e} (eps = {eps:.3e})")
+                f"density operator has negative eigenvalue {-excess:.3e} (eps = {eps:.3e})")
         defect = abs(complex(np.trace(m)) - 1.0)
         if defect > eps:
             raise ValueError(
@@ -147,14 +144,8 @@ def purify(rho: DensityOperator) -> BipartiteState:
     """
     w, v = matkit.eigh_desc(rho.mat, rho.tol)
     d = rho.dim
-    psi = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        lam = max(float(w[k]), 0.0)
-        if lam == 0.0:
-            continue
-        anc = np.zeros(d, dtype=complex)
-        anc[k] = 1.0
-        psi += np.sqrt(lam) * np.kron(anc, v[:, k])
+    # Row k of the (ancilla, system) coefficient matrix is sqrt(w_k) v_k.
+    psi = (v * np.sqrt(np.clip(w, 0.0, None))).T.reshape(-1)
     psi /= np.linalg.norm(psi)
     return BipartiteState.from_vector(psi, (d, d), rho.tol)
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -142,6 +143,18 @@ def test_verify_unparsable_exits_1(tmp_path, capsys):
         path.write_bytes(content)
         assert main(["verify", str(path)]) == 1
         assert str(path) in error_record(capsys, 1)["error"]
+
+
+@pytest.mark.parametrize("content, error", [
+    (b'{"kind": "\xe9"}', serialize.ParseError),  # Latin-1, not UTF-8
+    (b"{", serialize.ParseError),
+    (b'{"kind": "density", "dim": 1, "data": {"mat": [[[2.0, 0.0]]]}}', ValueError),  # trace 2
+], ids=["latin1", "json", "invariant"])
+def test_read_file_errors_name_the_path(tmp_path, content, error):
+    path = tmp_path / "object.json"
+    path.write_bytes(content)
+    with pytest.raises(error, match="^" + re.escape(f"{path}: ")):
+        serialize.read_file(path)
 
 
 def test_verify_transpose_as_kraus_channel_exits_1(tmp_path, capsys):

@@ -55,6 +55,19 @@ def test_premise_rejects_mismatched_effect():
         verify_premise(luders_map(f.mat), g)
 
 
+@pytest.mark.parametrize("c, rejected", [(6e-9, True), (2e-9, False)])
+def test_premise_pairing_is_held_in_spectral_norm(c, rejected):
+    # B = {sqrt(F + cJ)} with J the all-ones matrix: sum K†K - F = cJ has entries
+    # c but spectral norm 4c, against the bound PREMISE_SLACK * eps = 1e-8.
+    f = Effect(np.diag([0.2, 0.4, 0.6, 0.8]))
+    b = luders_map(f.mat + c * np.ones((4, 4)))
+    if rejected:
+        with pytest.raises(PremiseViolatedError, match="spectral residual 2.4"):
+            verify_premise(b, f)
+    else:
+        assert verify_premise(b, f).trace_residual == pytest.approx(4 * c, rel=1e-6)
+
+
 def test_premise_vanishing_terms_for_rank_deficient_effect():
     rng = np.random.default_rng(3)
     for _ in range(10):

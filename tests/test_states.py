@@ -83,6 +83,19 @@ def test_purify_round_trips_random_states(d):
         assert np.max(np.abs(psi.reduced(1).mat - rho.mat)) <= 1e-10
 
 
+def test_purify_matches_the_schmidt_sum():
+    # psi = sum_k sqrt(w_k) |k> (x) v_k over the descending spectrum, rank-deficient included
+    rng = np.random.default_rng(44)
+    for d in (2, 3, 5):
+        for rank in range(1, d + 1):
+            rho = harness.random_density(d, rng, rank=rank)
+            w, v = matkit.eigh_desc(rho.mat)
+            expected = sum(np.sqrt(max(w[k], 0.0)) * np.kron(np.eye(d)[k], v[:, k])
+                           for k in range(d))
+            np.testing.assert_array_equal(purify(rho).state.mat,
+                                          DensityOperator.from_vector(expected).mat)
+
+
 def steered_member(psi, effect_mat, d_b):
     """Partial-trace oracle for what one POVM element leaves on the second factor."""
     lifted = np.kron(effect_mat, np.eye(d_b)) @ psi.state.mat
