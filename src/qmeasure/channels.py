@@ -5,6 +5,7 @@ pullback through a channel."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,15 +17,6 @@ from .matkit import DEFAULT_TOL, Tolerances, dagger
 def vec(m) -> np.ndarray:
     """Column-stacking vectorization: vec(M)[i + j*d] = M[i, j]."""
     return np.asarray(m, dtype=complex).T.reshape(-1)
-
-
-def unvec(v) -> np.ndarray:
-    """Inverse of vec for square matrices."""
-    arr = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(arr.size)))
-    if d * d != arr.size:
-        raise ValueError(f"vector of length {arr.size} is not a vectorized square matrix")
-    return arr.reshape(d, d).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,15 +104,20 @@ class ChoiMatrix:
             raise ValueError(f"Choi dimension {m.shape[0]} != {self.d_in}*{self.d_out}")
         object.__setattr__(self, "mat", matkit.freeze(m))
 
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """Spectrum of the Hermitian part, taken once per Choi matrix."""
+        return np.linalg.eigvalsh(matkit.hermitian_part(self.mat))
+
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(matkit.hermitian_part(self.mat)).min())
+        return float(self._eigenvalues.min())
 
     def is_hermitian_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return matkit.is_hermitian(self.mat, tol.eps)
 
     def is_cp(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        w = np.linalg.eigvalsh(matkit.hermitian_part(self.mat))
-        return self.is_hermitian_preserving(tol) and tol.spectrum_violation(w) is None
+        return (self.is_hermitian_preserving(tol)
+                and tol.spectrum_violation(self._eigenvalues) is None)
 
 
 def _tensor(m) -> np.ndarray:
@@ -147,25 +144,27 @@ def _reshuffle(m) -> np.ndarray:
 
 
 def apply_map(m, rho) -> np.ndarray:
-    """Evaluate a map (in any form) on a matrix."""
-    r = matkit.require_square(rho)
+    """Evaluate a map (in any form) on a matrix, or on each matrix of a
+    (..., d_in, d_in) stack at once; the result has shape (..., d_out, d_out)."""
+    r = matkit.require_square_stack(rho)
+    if not isinstance(m, (KrausChannel, Superoperator, ChoiMatrix)):
+        raise TypeError(f"not a map form: {type(m).__name__}")
+    if r.shape[-1] != m.d_in:
+        raise ValueError(f"operand dimension {r.shape[-1]} != map input {m.d_in}")
     if isinstance(m, KrausChannel):
-        if r.shape[0] != m.d_in:
-            raise ValueError(f"operand dimension {r.shape[0]} != map input {m.d_in}")
-        # A loop: at 260 operators of d=32, batched matmul-and-sum and tensordot are slower.
-        out = np.zeros((m.d_out, m.d_out), dtype=complex)
+        # A loop over operators, each applied to the whole stack: at 260 operators
+        # of d=32, batched matmul-and-sum and tensordot are slower, and an
+        # (n, ..., d_out, d_out) intermediate would hold n copies of the output.
+        out = np.zeros(r.shape[:-2] + (m.d_out, m.d_out), dtype=complex)
         for k in m.kraus:
             out += k @ r @ dagger(k)
         return out
     if isinstance(m, Superoperator):
-        if r.shape[0] != m.d_in:
-            raise ValueError(f"operand dimension {r.shape[0]} != map input {m.d_in}")
-        return unvec(m.mat @ vec(r))
-    if isinstance(m, ChoiMatrix):
-        if r.shape[0] != m.d_in:
-            raise ValueError(f"operand dimension {r.shape[0]} != map input {m.d_in}")
-        return np.einsum("ij,iajb->ab", r, _tensor(m))
-    raise TypeError(f"not a map form: {type(m).__name__}")
+        # Row-wise column-stacked vecs: vecs[..., i + j*d_in] = r[..., i, j].
+        vecs = r.swapaxes(-1, -2).reshape(r.shape[:-2] + (-1,))
+        out = (vecs @ m.mat.T).reshape(r.shape[:-2] + (m.d_out, m.d_out))
+        return out.swapaxes(-1, -2)
+    return np.einsum("...ij,iajb->...ab", r, _tensor(m))
 
 
 def superop_from_map(m) -> Superoperator:

@@ -70,11 +70,7 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-def require_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D complex array with finite entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+def _require_finite(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         raise ValueError("empty matrix")
     if not np.all(np.isfinite(m)):
@@ -82,11 +78,28 @@ def require_matrix(a) -> np.ndarray:
     return m
 
 
+def require_matrix(a) -> np.ndarray:
+    """Coerce to a 2-D complex array with finite entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    return _require_finite(m)
+
+
 def require_square(a) -> np.ndarray:
     m = require_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def require_square_stack(a) -> np.ndarray:
+    """Coerce a square matrix, or a (..., d, d) stack of them, to a complex
+    array with finite entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return _require_finite(m)
 
 
 def dagger(a) -> np.ndarray:

@@ -117,9 +117,15 @@ def _parse_matrix(node, what: str) -> np.ndarray:
                   all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell))
             if not ok:
                 raise ParseError(f"{what}: complex entries must be [re, im] number pairs")
-            entries.append(complex(float(cell[0]), float(cell[1])))
+            try:
+                entries.append(complex(float(cell[0]), float(cell[1])))
+            except OverflowError:  # an integer literal beyond the float range
+                raise ParseError(f"{what}: number literal is not a finite float") from None
         rows.append(entries)
-    return np.array(rows, dtype=complex)
+    mat = np.array(rows, dtype=complex)
+    if not np.all(np.isfinite(mat)):  # a float literal such as 1e400 reads as inf
+        raise ParseError(f"{what}: number literal is not a finite float")
+    return mat
 
 
 def _require_dim(doc, key: str) -> int:
@@ -158,7 +164,9 @@ def parse_text(text: str) -> dict:
     """Syntactic pass: JSON, kind, and shapes.  Raises ParseError only."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

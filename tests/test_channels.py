@@ -141,6 +141,42 @@ def test_stacked_kraus_forms_match_per_operator_loops(dims, n):
                                rtol=0, atol=tol)
 
 
+@pytest.mark.parametrize("stack", [1, 3, 7])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+def test_apply_map_on_a_stack_matches_per_matrix_calls(dims, stack):
+    d_in, d_out = dims
+    rng = np.random.default_rng(100 * d_in + 10 * d_out + stack)
+    ch = harness.random_cptp(d_in, d_out, 2, rng)
+    # General (non-Hermitian) operands, so no symmetry hides an index mix-up.
+    rhos = rng.standard_normal((stack, d_in, d_in)) + 1j * rng.standard_normal((stack, d_in, d_in))
+    loop = [sum(k @ r @ k.conj().T for k in ch.kraus) for r in rhos]
+    for form in (ch, superop_from_map(ch), choi_from_map(ch)):
+        out = apply_map(form, rhos)
+        assert out.shape == (stack, d_out, d_out)
+        singles = [apply_map(form, r) for r in rhos]
+        np.testing.assert_allclose(out, singles, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12)
+        nested = apply_map(form, rhos.reshape(1, stack, d_in, d_in))
+        np.testing.assert_allclose(nested[0], out, rtol=0, atol=1e-12)
+
+
+def test_apply_map_rejects_bad_operands_in_every_form():
+    ch = harness.random_cptp(2, 3, 2, np.random.default_rng(4))
+    with_nan = np.stack([np.eye(2) / 2] * 3).astype(complex)
+    with_nan[1, 0, 1] = np.nan
+    for form in (ch, superop_from_map(ch), choi_from_map(ch)):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            apply_map(form, with_nan)
+        with pytest.raises(ValueError, match="square matrix"):
+            apply_map(form, np.zeros((3, 2, 3)))
+        with pytest.raises(ValueError, match="square matrix"):
+            apply_map(form, np.zeros(4))
+        with pytest.raises(ValueError, match="empty matrix"):
+            apply_map(form, np.zeros((0, 2, 2)))
+        with pytest.raises(ValueError, match="operand dimension 3 != map input 2"):
+            apply_map(form, np.zeros((5, 3, 3)))
+
+
 def test_kraus_from_choi_rejects_transpose():
     with pytest.raises(NotCPError):
         kraus_from_choi(choi_from_map(transpose_superoperator(2)))

@@ -85,12 +85,22 @@ def test_verify_valid_povm(tmp_path, capsys):
     assert report["ok"] and report["kind"] == "povm"
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-def test_verify_rejects_non_standard_json_literals_as_parse_errors(literal, tmp_path, capsys):
+@pytest.mark.parametrize("literal, reason", [
+    pytest.param("NaN", "NaN", id="NaN"),
+    pytest.param("Infinity", "Infinity", id="Infinity"),
+    pytest.param("-Infinity", "-Infinity", id="-Infinity"),
+    pytest.param("9" * 400, "not a finite float", id="400-digit-int"),  # float() overflows
+    pytest.param("1e400", "not a finite float", id="1e400"),  # reads as inf
+    pytest.param("9" * 5000, "Exceeds the limit", id="5000-digit-int"),  # int digit limit
+])
+def test_verify_rejects_non_standard_json_literals_as_parse_errors(literal, reason,
+                                                                  tmp_path, capsys):
     path = tmp_path / "rho.json"
     path.write_text('{"kind": "density", "dim": 1, "data": {"mat": [[[%s, 0.0]]]}}' % literal)
     assert main(["verify", str(path)]) == 1
-    assert literal in error_record(capsys, 1)["error"]
+    error = error_record(capsys, 1)["error"]
+    assert error.startswith(f"ParseError: {path}: ")
+    assert reason in error
 
 
 @pytest.mark.parametrize("bad", [["--tol", "nan"], ["--tol", "-1"], ["--rank-tol", "inf"]])
@@ -182,6 +192,22 @@ def test_verify_transpose_superoperator_flags_not_cp(tmp_path, capsys):
     assert report["flags"]["cp"] is False
     assert report["flags"]["trace_preserving"] is True
     assert report["flags"]["min_choi_eigenvalue"] <= -0.5
+
+
+def test_verify_takes_the_choi_spectrum_once(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path / "transpose.json", transpose_superoperator(3))
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["verify", path]) == 0
+    flags = last_json(capsys)["flags"]
+    assert flags["cp"] is False and flags["min_choi_eigenvalue"] <= -0.5
+    assert shapes == [(9, 9)]
 
 
 def test_verify_density(tmp_path):

@@ -204,3 +204,38 @@ def test_reconstruction_not_channel_equality():
         compressed = root @ rho @ root
         np.testing.assert_allclose(apply_map(e, compressed),
                                    apply_map(b, rho), atol=1e-9)
+
+
+def per_state_reconstruction_residual(b, f, e, trials=20, seed=11):
+    """The per-state loop over the Wishart stack reconstruction_residual draws."""
+    rng = np.random.default_rng(seed)
+    shape = (trials, f.dim, f.dim)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    root = matkit.psd_sqrt(f.mat)
+    worst = 0.0
+    for gi in g:
+        rho = gi @ gi.conj().T
+        rho = rho / np.trace(rho).real
+        compressed = root @ rho @ root
+        gap = (sum(k @ rho @ k.conj().T for k in b.kraus)
+               - sum(k @ compressed @ k.conj().T for k in e.kraus))
+        worst = max(worst, matkit.trace_norm(gap))
+    return worst
+
+
+def test_reconstruction_residual_matches_a_per_state_loop_and_sees_a_perturbed_map():
+    rng = np.random.default_rng(17)
+    d = 4
+    f = harness.random_effect(d, rng, zero_eigenvalues=1)
+    b = compose_with_luders(harness.random_cptp(d, d, 2, rng), f.mat)
+    e = decompose(b, f)
+    assert reconstruction_residual(b, f, e) <= 1e-9 * d
+    assert per_state_reconstruction_residual(b, f, e) <= 1e-9 * d
+    ops = np.array(e.kraus)
+    ops[0] *= 1 + 1e-6  # the first compressed operator of B
+    bad = KrausChannel(ops, d_in=d, d_out=d)
+    for trials, seed in ((20, 11), (7, 3)):
+        residual = reconstruction_residual(b, f, bad, trials=trials, seed=seed)
+        assert residual > 1e-9 * d
+        reference = per_state_reconstruction_residual(b, f, bad, trials, seed)
+        assert abs(residual - reference) <= 1e-12

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,35 @@ def test_no_signaling_random_three_by_three():
     assert check_no_signaling(state, inst).residual <= 1e-10
 
 
+def tensor_product_marginal_gap(state, outcomes):
+    """Bob's marginal after vs before, by lifting each Kraus operator with tensor_product."""
+    d_a, d_b = state.dims
+    rho = state.state.mat
+    before = matkit.partial_trace(rho, state.dims, keep=1)
+    after = np.zeros_like(before)
+    for _, ch in outcomes:
+        for k in ch.kraus:
+            lifted = matkit.tensor_product(k, np.eye(d_b))
+            after += matkit.partial_trace(lifted @ rho @ lifted.conj().T, (ch.d_out, d_b), keep=1)
+    return matkit.trace_norm(after - before)
+
+
+@pytest.mark.parametrize("dims, d_out", [((2, 3), 2), ((3, 2), 3), ((2, 2), 3), ((3, 3), 2)])
+def test_no_signaling_matches_the_tensor_product_loop(dims, d_out):
+    rng = np.random.default_rng(sum(dims) + 10 * d_out)
+    state = BipartiteState(dims, harness.random_density(dims[0] * dims[1], rng))
+    inst = harness.random_instrument(dims[0], 3, 2, rng, d_out=d_out)
+    report = check_no_signaling(state, inst)
+    assert report.passed
+    assert abs(report.residual - tensor_product_marginal_gap(state, inst.outcomes)) <= 1e-12
+    # One outcome alone is trace decreasing, so Bob's marginal moves by O(1) and the
+    # comparison is not between two rounding errors.
+    part = SimpleNamespace(d_in=inst.d_in, outcomes=inst.outcomes[:1])
+    gap = tensor_product_marginal_gap(state, part.outcomes)
+    assert gap > 1e-3
+    assert abs(check_no_signaling(state, part).residual - gap) <= 1e-12
+
+
 def test_no_signaling_suite_passes():
     report = run_nosignal_suite(trials=50, seed=42, dims=(2, 3))
     assert report.passed
@@ -83,6 +114,17 @@ def test_equal_mix_ensembles_agree_on_z_then_x_program():
     oracle = two_step_oracle(e1, program[0], program[1])
     for key, val in oracle.items():
         assert abs(d1.get(key, 0.0) - val) <= 1e-12
+
+
+def test_mix_gap_the_mix_check_accepts_is_no_witness():
+    # Entrywise 0.9e-9 passes the mix check; X statistics then differ by 0.9e-9,
+    # within the trace-norm distance 1.8e-9 of the two averages.
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    e1 = Ensemble(((1.0, DensityOperator(np.eye(2) / 2)),))
+    e2 = Ensemble(((1.0, DensityOperator(np.eye(2) / 2 + 0.9e-9 * x)),))
+    report = check_ensemble_equivalence(e1, e2, [x_luders()])
+    assert report.passed and report.witness is None
+    assert report.max_difference == pytest.approx(9e-10, rel=1e-6)
 
 
 def test_identical_ensembles_trivially_agree():
