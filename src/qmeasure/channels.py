@@ -231,14 +231,16 @@ def adjoint(m):
     return Superoperator(dual.reshape(m.d_in ** 2, m.d_out ** 2), d_in=m.d_out, d_out=m.d_in)
 
 
-def pullback_povm(m, p, tol: Tolerances = DEFAULT_TOL):
+def pullback_povm(m, p):
     """Effects of measuring p after evolving through the trace-preserving map m.
 
-    Raises NonPositiveEffectError when a pulled-back element fails the
-    Effect check (such a map cannot precede a measurement).
+    Every check runs under p's tolerance.  Raises NonPositiveEffectError when
+    a pulled-back element fails the Effect check (such a map cannot precede a
+    measurement).
     """
     from .measure import Effect, Povm
 
+    tol = p.tol
     dual = adjoint(m)
     if not tol.is_complete(apply_map(dual, np.eye(m.d_out, dtype=complex))):
         raise ValueError("map is not trace preserving; a POVM cannot be pulled back through it")

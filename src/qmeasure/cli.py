@@ -91,9 +91,9 @@ def cmd_decompose(args) -> int:
     inst = _load(args.instrument, Instrument, tol)
     channel = inst.channel(args.label)
     effect = induced_povm(inst).effect(args.label)
-    premise = decomposition.verify_premise(channel, effect, tol=tol)
-    conditional = decomposition.decompose(channel, effect, check=False, tol=tol)
-    recon = decomposition._check_decomposition(channel, effect, conditional, tol)
+    premise = decomposition.verify_premise(channel, effect)
+    conditional = decomposition.decompose(channel, effect, check=False)
+    recon = decomposition._check_decomposition(channel, effect, conditional)
     _report({"command": "decompose", "label": args.label,
              "effect": serialize.matrix_payload(effect.mat),
              "conditional_kraus": serialize.matrix_payload(conditional.kraus),
@@ -213,13 +213,13 @@ def cmd_demo(args) -> int:
     outcome_info = []
     for label, channel in inst.outcomes:
         effect = povm.effect(label)
-        conditional = decomposition.decompose(channel, effect, check=False, tol=tol)
+        conditional = decomposition.decompose(channel, effect, check=False)
         outcome_info.append({
             "label": label,
             "effect": serialize.matrix_payload(effect.mat),
             "kraus_rank": decomposition.kraus_rank(channel, tol),
             "reconstruction_residual":
-                decomposition._check_decomposition(channel, effect, conditional, tol),
+                decomposition._check_decomposition(channel, effect, conditional),
         })
     _report({"command": "demo", "which": args.which, "outcomes": outcome_info})
     for info in outcome_info:

@@ -12,7 +12,7 @@ and callers should compare reconstructions, never the channels themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .errors import PremiseViolatedError
 from .matkit import DEFAULT_TOL, Tolerances
 from .measure import Effect
 
+RECONSTRUCTION_STATES = 20
+"""Random states `reconstruction_residual` samples the two maps on."""
+
 PREMISE_SLACK = 10.0
 """Premise residuals may exceed eps by this factor before raising; two
 spectral decompositions feed the construction."""
@@ -29,15 +32,13 @@ spectral decompositions feed the construction."""
 
 @dataclass(frozen=True)
 class PremiseReport:
-    """Residual of the trace pairing and bounds on the two vanishing terms,
-    with the support decomposition of F they were computed from."""
+    """Residual of the trace pairing and bounds on the two vanishing terms."""
 
     trace_residual: float
     kernel_residual: float
     cross_residual: float
     support_rank: int
     borderline_eigenvalues: tuple[float, ...]
-    support: matkit.SupportDecomposition = field(compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -49,8 +50,7 @@ class PremiseReport:
         }
 
 
-def verify_premise(b: KrausChannel, f: Effect,
-                   tol: Tolerances = DEFAULT_TOL) -> PremiseReport:
+def verify_premise(b: KrausChannel, f: Effect) -> PremiseReport:
     """Check tr(B(rho)) = tr(rho F) and bound the kernel and cross terms.
 
     The trace pairing is checked for all states at once through the operator
@@ -66,13 +66,13 @@ def verify_premise(b: KrausChannel, f: Effect,
     # For every state, |tr B(rho) - tr(rho F)| = |tr(rho (sum_i K_i†K_i - F))|
     #                                       <= ||rho||_1 ||sum_i K_i†K_i - F||_2.
     trace_residual = float(np.linalg.norm(b.completeness() - f.mat, 2))
-    if trace_residual > PREMISE_SLACK * tol.eps:
+    if trace_residual > PREMISE_SLACK * f.tol.eps:
         raise PremiseViolatedError(
             f"tr(B(rho)) != tr(rho F): spectral residual {trace_residual:.3e}")
 
-    supp = matkit.psd_support(f.mat, tol=tol)
+    supp = f.support
     w = supp.eigenvalues
-    cutoff = tol.rank_cutoff(float(w.max()))
+    cutoff = f.tol.rank_cutoff(float(w.max()))
     support_rank = int(np.sum(w > cutoff))
     borderline = tuple(float(x) for x in w if cutoff / 10.0 < x <= cutoff * 10.0)
 
@@ -85,21 +85,20 @@ def verify_premise(b: KrausChannel, f: Effect,
     kernel_residual = float(np.sum(on_kernel ** 2))
     cross_residual = float(2.0 * np.sum(on_support * on_kernel))
     return PremiseReport(trace_residual, kernel_residual, cross_residual,
-                         support_rank, borderline, supp)
+                         support_rank, borderline)
 
 
 def reconstruction_residual(b: KrausChannel, f: Effect, e: KrausChannel,
-                            trials: int = 20, seed: int = 11,
-                            tol: Tolerances = DEFAULT_TOL) -> float:
+                            seed: int = 11) -> float:
     """Largest trace-norm gap between B(rho) and E(sqrt(F) rho sqrt(F)) on random states.
 
-    The `trials` full-rank Wishart states are drawn as one stack and both maps
-    are evaluated on the whole stack, one apply_map call each.
+    The RECONSTRUCTION_STATES full-rank Wishart states are drawn as one stack
+    and both maps are evaluated on the whole stack, one apply_map call each.
     """
-    d = f.dim
-    root = matkit.psd_sqrt(f.mat, tol)
+    d, root = f.dim, f.root
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((trials, d, d)) + 1j * rng.standard_normal((trials, d, d))
+    shape = (RECONSTRUCTION_STATES, d, d)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rhos = g @ g.conj().swapaxes(-1, -2)
     rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
     delta = apply_map(b, rhos) - apply_map(e, root @ rhos @ root)
@@ -107,24 +106,22 @@ def reconstruction_residual(b: KrausChannel, f: Effect, e: KrausChannel,
     return float(np.linalg.svd(delta, compute_uv=False).sum(axis=-1).max())
 
 
-def _check_decomposition(b: KrausChannel, f: Effect, e: KrausChannel,
-                         tol: Tolerances) -> float:
+def _check_decomposition(b: KrausChannel, f: Effect, e: KrausChannel) -> float:
     """Raise ArithmeticError unless E is trace preserving and reconstructs B
-    within eps * d; returns the reconstruction residual."""
-    violation = tol.completeness_violation(e.completeness())
+    within F's eps * d; returns the reconstruction residual."""
+    violation = f.tol.completeness_violation(e.completeness())
     if violation:
         raise ArithmeticError(
             "decomposition is not trace preserving: residual %.3e exceeds %.3e" % violation)
-    worst = reconstruction_residual(b, f, e, tol=tol)
-    bound = tol.eps * f.dim
+    worst = reconstruction_residual(b, f, e)
+    bound = f.tol.eps * f.dim
     if worst > bound:
         raise ArithmeticError(
             f"reconstruction residual {worst:.3e} exceeds {bound:.3e}")
     return worst
 
 
-def decompose(b: KrausChannel, f: Effect, check: bool = True,
-              tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
+def decompose(b: KrausChannel, f: Effect, check: bool = True) -> KrausChannel:
     """Trace-preserving channel E with B(rho) = E(sqrt(F) rho sqrt(F)).
 
     Kraus set: each of B's operators compressed by the support-restricted
@@ -132,9 +129,10 @@ def decompose(b: KrausChannel, f: Effect, check: bool = True,
     kernel.  With check=True (default) the reconstruction and trace
     preservation are re-verified on random states before returning.
     """
-    supp = verify_premise(b, f, tol=tol).support
+    verify_premise(b, f)
+    supp = f.support
     d, d_out, n = f.dim, b.d_out, len(b.kraus)
-    kernel_w, kernel_v = matkit.eigh_desc(supp.kernel, tol)
+    kernel_w, kernel_v = matkit.eigh_desc(supp.kernel, f.tol)
     bras = kernel_v[:, kernel_w > 0.5].conj().T  # projector spectrum is {0, 1}
     ops = np.zeros((n + len(bras) * d_out, d_out, d), dtype=complex)
     ops[:n] = b.kraus @ supp.pinv_sqrt
@@ -144,7 +142,7 @@ def decompose(b: KrausChannel, f: Effect, check: bool = True,
     block[:, rows, rows, :] = bras[:, None, :] / np.sqrt(d_out)
     result = KrausChannel(ops, d_in=d, d_out=d_out)
     if check:
-        _check_decomposition(b, f, result, tol)
+        _check_decomposition(b, f, result)
     return result
 
 

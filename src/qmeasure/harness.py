@@ -21,12 +21,6 @@ from .states import BipartiteState, DensityOperator, Ensemble, mix, purify
 # Random object generation (all driven by an explicit rng for reproducibility)
 # ---------------------------------------------------------------------------
 
-def random_ket(d: int, rng) -> np.ndarray:
-    """Haar-random pure state from a normalized complex Gaussian vector."""
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def random_density(d: int, rng, rank: int | None = None,
                    tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     r = d if rank is None else max(1, min(int(rank), d))
@@ -89,14 +83,6 @@ def random_instrument(d_in: int, n_outcomes: int, kraus_per_outcome: int, rng,
     blocks = v.reshape(n_outcomes, kraus_per_outcome, d_out, d_in)
     return Instrument(tuple((str(mu), KrausChannel(block, d_in=d_in, d_out=d_out))
                             for mu, block in enumerate(blocks)), tol)
-
-
-def random_ensemble(d: int, n_members: int, rng,
-                    tol: Tolerances = DEFAULT_TOL) -> Ensemble:
-    weights = rng.dirichlet(np.ones(n_members))
-    members = tuple((float(w), DensityOperator.from_vector(random_ket(d, rng), tol))
-                    for w in weights)
-    return Ensemble(members, tol)
 
 
 def steered_ensemble(psi: BipartiteState, alice: Povm,
@@ -331,9 +317,8 @@ def correlated_env_demo(tol: Tolerances = DEFAULT_TOL) -> CorrelatedEnvReport:
         note=note)
 
 
-def stern_gerlach_demo(phases: tuple[float, float] = (0.4, -0.7),
-                       tol: Tolerances = DEFAULT_TOL) -> Instrument:
-    """Sharp spin-z measurement whose outcome beams pick up relative phases.
+def stern_gerlach_demo(tol: Tolerances = DEFAULT_TOL) -> Instrument:
+    """Sharp spin-z measurement whose beams pick up relative phases 0.4 and -0.7.
 
     Each outcome map is a single Kraus operator (unitary after projection),
     the simplest case of an ideal measurement followed by outcome-dependent
@@ -341,8 +326,8 @@ def stern_gerlach_demo(phases: tuple[float, float] = (0.4, -0.7),
     """
     p_up = np.diag([1.0, 0.0]).astype(complex)
     p_down = np.diag([0.0, 1.0]).astype(complex)
-    u_up = np.diag([1.0, np.exp(1j * phases[0])])
-    u_down = np.diag([np.exp(1j * phases[1]), 1.0])
+    u_up = np.diag([1.0, np.exp(0.4j)])
+    u_down = np.diag([np.exp(-0.7j), 1.0])
     return from_effect_channel_pairs(
         [(p_up, unitary_channel(u_up, tol)), (p_down, unitary_channel(u_down, tol))],
         labels=("+z", "-z"), tol=tol)
@@ -451,11 +436,10 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
         d = int(rng.choice(dims))
         f = random_effect(d, rng, zero_eigenvalues=int(rng.integers(0, d)), tol=tol)
         e0 = random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
-        root = matkit.psd_sqrt(f.mat, tol)
-        b = KrausChannel(e0.kraus @ root, d_in=d, d_out=d)
-        premise = verify_premise(b, f, tol=tol)
-        e = decompose(b, f, check=False, tol=tol)
-        recon = reconstruction_residual(b, f, e, seed=trial_seed, tol=tol)
+        b = KrausChannel(e0.kraus @ f.root, d_in=d, d_out=d)
+        premise = verify_premise(b, f)
+        e = decompose(b, f, check=False)
+        recon = reconstruction_residual(b, f, e, seed=trial_seed)
         tp_res = tol.completeness_residual(e.completeness())
         vanish = max(premise.kernel_residual, premise.cross_residual)
         max_res = max(max_res, recon, tp_res)

@@ -124,10 +124,6 @@ def is_hermitian(a, eps: float) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= eps)
 
 
-def frob_norm(a) -> float:
-    return float(np.linalg.norm(a))
-
-
 def trace_norm(a) -> float:
     """Trace norm ||A||_1 = sum of singular values."""
     return float(np.sum(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))

@@ -4,6 +4,7 @@ states, and fusion of successive measurements into a single one."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ LABEL_SEPARATOR = "·"
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """Positive operator with spectrum inside [0, 1] (up to eps slack)."""
+    """Positive operator with spectrum inside [0, 1] (up to eps slack); `support`
+    and `root` are its psd_support and psd_sqrt, taken once and read-only."""
 
     mat: np.ndarray
     tol: Tolerances = DEFAULT_TOL
@@ -37,6 +39,19 @@ class Effect:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def support(self) -> matkit.SupportDecomposition:
+        supp = matkit.psd_support(self.mat, self.tol)
+        for part in supp:
+            part.setflags(write=False)
+        return supp
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        root = matkit.psd_sqrt(self.mat, self.tol)
+        root.setflags(write=False)
+        return root
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +216,8 @@ def from_effect_channel_pairs(pairs, labels=None, tol: Tolerances = DEFAULT_TOL)
     """Instrument with outcome maps E(sqrt(F) rho sqrt(F)) from (effect, channel) pairs.
 
     The effects must form a POVM and every conditional channel must be trace
-    preserving; the induced POVM of the result reproduces the input effects.
+    preserving; the induced POVM of the result reproduces the input effects,
+    and `Instrument` holds their sum to the identity.
     """
     forged = []
     for eff, ch in pairs:
@@ -209,7 +225,6 @@ def from_effect_channel_pairs(pairs, labels=None, tol: Tolerances = DEFAULT_TOL)
         if not isinstance(ch, KrausChannel):
             raise TypeError("outcome channels must be KrausChannel instances")
         forged.append((effect, ch))
-    Povm.from_effects([e for e, _ in forged], tol=tol)
     if labels is None:
         labels = [str(i) for i in range(len(forged))]
     outs = []
@@ -237,20 +252,23 @@ def branch_state(unnormalized, probability: float,
                  tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     """Normalize an unnormalized branch output into a DensityOperator.
 
-    Dividing by a small probability amplifies the absolute roundoff in the
-    branch output, so eigenvalues inside the amplified-noise window are
-    clipped to zero before validation; anything more negative is genuine and
-    still raises.
+    The normalized output is validated as it is, so eigenvalues in [-eps, 0)
+    stay as DensityOperator accepts them.  Dividing by a small probability
+    amplifies the absolute roundoff in the branch output, so a rejected output
+    whose lowest eigenvalue lies within that amplified noise of [-eps, 0) has
+    its negative eigenvalues clipped to zero and is renormalized; anything
+    more negative is genuine and still raises.
     """
     mat = matkit.hermitian_part(unnormalized) / probability
-    noise = 100.0 * np.finfo(float).eps / probability
-    w = np.linalg.eigvalsh(mat)
-    low = float(w.min())
-    if -(tol.eps + noise) <= low < 0.0:
-        w2, v = np.linalg.eigh(mat)
-        mat = (v * np.clip(w2, 0.0, None)) @ v.conj().T
-        mat = mat / float(np.trace(mat).real)
-    return DensityOperator(mat, tol)
+    try:
+        return DensityOperator(mat, tol)
+    except ValueError:
+        w, v = np.linalg.eigh(mat)
+        noise = 100.0 * np.finfo(float).eps / probability
+        if not -(tol.eps + noise) <= w[0] < 0.0:
+            raise
+    mat = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return DensityOperator(mat / float(np.trace(mat).real), tol)
 
 
 def apply_instrument(inst: Instrument, rho: DensityOperator) -> list[OutcomeResult]:

@@ -6,8 +6,9 @@ from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
                                apply_map, choi_from_map, completely_depolarizing,
                                compose, identity_channel, kraus_from_choi,
                                pullback_povm, superop_from_map,
-                               transpose_superoperator, unitary_channel)
+                               transpose_superoperator, unitary_channel, vec)
 from qmeasure.errors import NonPositiveEffectError, NotCPError
+from qmeasure.matkit import Tolerances
 from qmeasure.measure import Povm
 
 
@@ -416,3 +417,24 @@ def test_superoperator_choi_conversion_consistency(dims):
     back = superop_from_map(ChoiMatrix(oracle, d_in=d_in, d_out=d_out))
     np.testing.assert_allclose(back.mat, s.mat, atol=1e-12)
     np.testing.assert_allclose(superop_from_map(c_from_s).mat, s.mat, atol=1e-12)
+
+
+def test_pullback_follows_the_tolerance_of_the_povm():
+    loose = Tolerances(eps=1e-3)
+    effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    # trace preserving only up to 1e-6
+    shrunk = KrausChannel.from_ops([np.sqrt(1.0 - 1e-6) * np.eye(2)])
+    with pytest.raises(ValueError, match="not trace preserving"):
+        pullback_povm(shrunk, Povm.from_effects(effects))
+    pulled = pullback_povm(shrunk, Povm.from_effects(effects, tol=loose))
+    assert pulled.tol is loose
+    assert all(eff.tol is loose for eff in pulled.effects)
+    # rho -> rho + tr(rho X) Z with tr Z = 0 pulls P = |0><0| back to P + X, whose
+    # lowest eigenvalue is -1e-6
+    z = np.diag([1.0, -1.0])
+    x = np.diag([0.0, -1e-6])
+    phi = Superoperator(np.eye(4) + np.outer(vec(z), vec(x.T)), d_in=2, d_out=2)
+    with pytest.raises(NonPositiveEffectError):
+        pullback_povm(phi, Povm.from_effects(effects))
+    pulled = pullback_povm(phi, Povm.from_effects(effects, tol=loose))
+    np.testing.assert_allclose(pulled.effects[0].mat, effects[0] + x, atol=1e-12)

@@ -6,8 +6,8 @@ from qmeasure.channels import (KrausChannel, apply_map, choi_from_map,
                                completely_depolarizing, identity_channel,
                                unitary_channel)
 from qmeasure.errors import PremiseViolatedError
-from qmeasure.decomposition import (decompose, kraus_rank, reconstruction_residual,
-                            verify_premise)
+from qmeasure.decomposition import (RECONSTRUCTION_STATES, decompose, kraus_rank,
+                                    reconstruction_residual, verify_premise)
 from qmeasure.matkit import Tolerances
 from qmeasure.measure import Effect, induced_povm
 from qmeasure.states import DensityOperator
@@ -34,7 +34,7 @@ def test_premise_report_carries_the_support_of_f_outside_its_dict():
     assert set(report.to_dict()) == {"trace_residual", "kernel_residual", "cross_residual",
                                      "support_rank", "borderline_eigenvalues"}
     expected = matkit.psd_support(f.mat)
-    for got, want in zip(report.support, expected):
+    for got, want in zip(f.support, expected):
         np.testing.assert_array_equal(got, want)
 
 
@@ -86,20 +86,20 @@ def test_premise_bounds_cover_sampled_terms_of_perturbed_map():
     tol = Tolerances(eps=1e-3)
     rng = np.random.default_rng(17)
     for d in (2, 3, 4, 5):
-        f = harness.random_effect(d, rng, zero_eigenvalues=d // 2)
+        f = harness.random_effect(d, rng, zero_eigenvalues=d // 2, tol=tol)
         exact = compose_with_luders(harness.random_cptp(d, d, 2, rng), f.mat)
         b = KrausChannel.from_ops(
             [k + 1e-5 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
              for k in exact.kraus])
-        report = verify_premise(b, f, tol=tol)
+        report = verify_premise(b, f)
         assert report.kernel_residual > 1e-13 and report.cross_residual > 1e-8
         supp = matkit.psd_support(f.mat, tol=tol)
         for _ in range(50):
             rho = harness.random_density(d, rng).mat
             kern = supp.kernel @ rho @ supp.kernel
             cross = supp.support @ rho @ supp.kernel + supp.kernel @ rho @ supp.support
-            assert matkit.frob_norm(apply_map(b, kern)) <= report.kernel_residual
-            assert matkit.frob_norm(apply_map(b, cross)) <= report.cross_residual
+            assert np.linalg.norm(apply_map(b, kern)) <= report.kernel_residual
+            assert np.linalg.norm(apply_map(b, cross)) <= report.cross_residual
 
 
 def test_decompose_full_rank_luders_gives_identity():
@@ -206,10 +206,10 @@ def test_reconstruction_not_channel_equality():
                                    apply_map(b, rho), atol=1e-9)
 
 
-def per_state_reconstruction_residual(b, f, e, trials=20, seed=11):
+def per_state_reconstruction_residual(b, f, e, seed=11):
     """The per-state loop over the Wishart stack reconstruction_residual draws."""
     rng = np.random.default_rng(seed)
-    shape = (trials, f.dim, f.dim)
+    shape = (RECONSTRUCTION_STATES, f.dim, f.dim)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     root = matkit.psd_sqrt(f.mat)
     worst = 0.0
@@ -234,8 +234,67 @@ def test_reconstruction_residual_matches_a_per_state_loop_and_sees_a_perturbed_m
     ops = np.array(e.kraus)
     ops[0] *= 1 + 1e-6  # the first compressed operator of B
     bad = KrausChannel(ops, d_in=d, d_out=d)
-    for trials, seed in ((20, 11), (7, 3)):
-        residual = reconstruction_residual(b, f, bad, trials=trials, seed=seed)
+    for seed in (11, 3):
+        residual = reconstruction_residual(b, f, bad, seed=seed)
         assert residual > 1e-9 * d
-        reference = per_state_reconstruction_residual(b, f, bad, trials, seed)
+        reference = per_state_reconstruction_residual(b, f, bad, seed)
         assert abs(residual - reference) <= 1e-12
+
+
+def test_premise_is_held_to_the_tolerance_of_the_effect():
+    # sum K†K - F = cJ has spectral norm 4c = 4e-5: past PREMISE_SLACK * eps at
+    # the default eps, inside it at eps = 1e-3
+    mat = np.diag([0.2, 0.4, 0.6, 0.8])
+    b = luders_map(mat + 1e-5 * np.ones((4, 4)))
+    with pytest.raises(PremiseViolatedError, match="spectral residual 4.0"):
+        verify_premise(b, Effect(mat))
+    report = verify_premise(b, Effect(mat, Tolerances(eps=1e-3)))
+    assert report.trace_residual == pytest.approx(4e-5, rel=1e-6)
+
+
+@pytest.mark.parametrize("delta, accepted", [(1e-3, True), (1.2e-2, False)])
+def test_checked_decompose_gates_at_the_eps_times_d_of_the_effect(delta, accepted):
+    # K = sqrt(F) + delta |0><1| leaks into the kernel |1> of F = diag(1/2, 0):
+    # the pairing misses by about delta / sqrt(2), within 10 eps at eps = 1e-3,
+    # and E(sqrt(F) rho sqrt(F)) loses B's cross terms, of order delta
+    mat = np.diag([0.5, 0.0])
+    k = matkit.psd_sqrt(mat)
+    k[0, 1] = delta
+    b = KrausChannel.from_ops([k])
+    with pytest.raises(PremiseViolatedError):
+        decompose(b, Effect(mat))
+    f = Effect(mat, Tolerances(eps=1e-3))
+    residual = reconstruction_residual(b, f, decompose(b, f, check=False))
+    bound = f.tol.eps * f.dim
+    if accepted:
+        assert 1e-9 * f.dim < residual <= bound
+        decompose(b, f)
+    else:
+        assert residual > bound
+        with pytest.raises(ArithmeticError, match="reconstruction residual"):
+            decompose(b, f)
+
+
+def test_the_lemma_path_takes_each_spectral_split_of_f_once(monkeypatch):
+    calls = {"psd_support": 0, "psd_sqrt": 0}
+
+    def counted(name):
+        inner = getattr(matkit, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(matkit, name, counted(name))
+    rng = np.random.default_rng(19)
+    f = harness.random_effect(3, rng, zero_eigenvalues=1)
+    b = KrausChannel(harness.random_cptp(3, 3, 2, rng).kraus @ f.root, d_in=3, d_out=3)
+    verify_premise(b, f)
+    decompose(b, f, check=True)
+    assert calls == {"psd_support": 1, "psd_sqrt": 1}
+    for array in (f.root, *f.support):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0

@@ -477,3 +477,29 @@ def test_instrument_at_the_completeness_edge_induces_a_povm(d, seed, scale, rank
         assert_decision_follows_the_spectral_rule(True, scale, rank)
     induced_povm(inst)
 
+
+
+def test_each_branch_takes_one_spectrum_on_the_common_path(monkeypatch):
+    rng = np.random.default_rng(41)
+    inst = harness.random_instrument(3, 3, 2, rng)
+    rho = harness.random_density(3, rng)
+    calls = []
+    inner = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or inner(m))
+    results = apply_instrument(inst, rho)
+    assert all(r.state is not None for r in results)
+    assert len(calls) == len(results) == 3
+
+
+def test_branch_state_leaves_eigenvalues_the_state_accepts():
+    from qmeasure.measure import branch_state
+    low = -0.5 * DEFAULT_TOL.eps
+    state = branch_state(np.diag([0.5 - 0.5 * low, 0.5 * low]), 0.5)
+    np.testing.assert_array_equal(state.mat, np.diag([1.0 - low, low]))
+
+
+def test_from_effect_channel_pairs_rejects_effects_that_miss_the_identity():
+    pairs = [(np.diag([0.6, 0.55]), identity_channel(2)),
+             (np.diag([0.5, 0.5]), identity_channel(2))]
+    with pytest.raises(ValueError, match="completeness residual"):
+        from_effect_channel_pairs(pairs)
