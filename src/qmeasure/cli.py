@@ -3,14 +3,14 @@ instruments, evaluate probabilities and channels, and run property suites.
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
 Exit codes: 0 ok, 1 parse or I/O error, 2 invariant/dimension/premise
-failure, 3 suite failure.  Every failure is reported by `main`, as one
-stderr line and one JSON record {"command", "ok": false, "exit_code", "error"}.
+failure or a request too large for memory, 3 suite failure.  Every failure
+is reported by `main`, as one stderr line and one JSON record
+{"command", "ok": false, "exit_code", "error"}.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import decomposition, harness, matkit, serialize
@@ -30,7 +30,7 @@ def _say(msg: str) -> None:
 
 
 def _report(payload: dict) -> None:
-    print(json.dumps(payload))
+    print(serialize.dumps(payload))
 
 
 def _tolerances(args) -> Tolerances:
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, ArithmeticError, KeyError) as exc:
+    except (OSError, ValueError, ArithmeticError, KeyError, MemoryError) as exc:
         code = EXIT_PARSE if isinstance(exc, (serialize.ParseError, OSError)) else EXIT_INVARIANT
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         error = f"{type(exc).__name__}: {detail}"

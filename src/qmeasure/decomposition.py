@@ -149,6 +149,9 @@ def decompose(b: KrausChannel, f: Effect, check: bool = True) -> KrausChannel:
 def kraus_rank(b: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of significant Choi eigenvalues; 1 exactly for single-operator maps."""
     choi = choi_from_map(b)
-    w = np.linalg.eigvalsh(matkit.hermitian_part(choi.mat))
+    # The Choi matrix of a Kraus map is V^T V-bar (rows of V are the vec(K_i)),
+    # Hermitian by construction, and eigvalsh reads one triangle of it, so no
+    # Hermitian-part copy of the d_in*d_out square matrix is needed.
+    w = np.linalg.eigvalsh(choi.mat)
     cutoff = tol.rank_cutoff(float(w.max()))
     return int(np.sum(w > cutoff))

@@ -3,7 +3,10 @@ instruments.
 
 Complex scalars are [re, im] pairs, matrices are row-major arrays of rows,
 and floats are printed with 17 significant digits, so write -> read -> write
-round trips are byte identical.  Parsing is split in two: `parse_text` only
+round trips are byte identical.  Payloads carry matrices as float arrays, and
+one writer renders both files and the CLI's records (`dumps`, the text
+`json.dumps` gives for the same values as nested lists), formatting each
+distinct float of an array once.  Parsing is split in two: `parse_text` only
 checks syntax and shapes (parse errors), `build` constructs domain objects
 (whose invariant checks may raise ValueError).
 """
@@ -11,6 +14,7 @@ checks syntax and shapes (parse errors), `build` constructs domain objects
 from __future__ import annotations
 
 import json
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,47 +28,110 @@ class ParseError(ValueError):
     """Malformed file: bad JSON, unknown kind, or wrong shapes."""
 
 
-def _fmt(x: float) -> str:
-    v = float(x)
-    if v == 0.0:  # normalize -0.0 so round trips stay byte identical
-        v = 0.0
-    return f"{v:.17g}"
+class _Style(NamedTuple):
+    """Separators and float spelling of one JSON text style."""
+
+    item_sep: str
+    key_sep: str
+    spell: Callable[[float], str]  # a C-level formatter, mapped over the floats
+    respell: dict  # the spellings this style replaces
+
+    def floats(self, values) -> list:
+        texts = list(map(self.spell, values))
+        return list(map(self.respell.get, texts, texts))
 
 
-def _emit(node, out: list) -> None:
-    if isinstance(node, dict):
+# Records: exactly `json.dumps`'s text, NaN and Infinity spelled as it does.
+_RECORD = _Style(", ", ": ", float.__repr__,
+                 {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"})
+# Files: compact, 17 significant digits, -0.0 normalised to 0 so round trips
+# stay byte identical.
+_FILE = _Style(",", ":", "{:.17g}".format, {"-0": "0"})
+
+
+_ARRAY_CHUNK = 1 << 15  # elements per assembly pass, so the temporaries stay small
+
+
+def _emit_array(a: np.ndarray, out: list, style: _Style) -> None:
+    """Nested-list JSON text of a float array, written in vectorised passes.
+
+    Each distinct float64 bit pattern is formatted once (so -0.0 keeps its own
+    text), and the brackets before element i follow from its flat index: it
+    closes and reopens one bracket level per trailing block of axes whose size
+    divides i.  The text is assembled a chunk of elements at a time: whole-array
+    temporaries of a few MB would stay resident in the heap after they are freed.
+    """
+    if a.dtype != np.float64 or a.ndim == 0 or a.size == 0:
+        _emit(a.tolist(), out, style)
+        return
+    flat = np.ascontiguousarray(a).reshape(-1).view(np.uint64)
+    ordered = np.sort(flat)  # np.unique without an inverse may hash, slowly for many values
+    bits = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    del ordered
+    texts = np.array(style.floats(bits.view(np.float64).tolist()), dtype=object)
+    depth = a.ndim
+    periods = np.cumprod(a.shape[:0:-1]).tolist()
+    seps = np.array(["]" * k + style.item_sep + "[" * k for k in range(depth)], dtype=object)
+    for start in range(0, flat.size, _ARRAY_CHUNK):
+        chunk = flat[start:start + _ARRAY_CHUNK]
+        closes = np.zeros(chunk.size, dtype=np.intp)
+        for period in periods:
+            closes[-start % period::period] += 1
+        tokens = np.empty(2 * chunk.size, dtype=object)
+        tokens[0::2] = seps[closes]
+        local, inverse = np.unique(chunk, return_inverse=True)
+        tokens[1::2] = texts[np.searchsorted(bits, local)][inverse]
+        if start == 0:
+            tokens[0] = "[" * depth
+        out.append("".join(tokens.tolist()))
+    out.append("]" * depth)
+
+
+def _emit(node, out: list, style: _Style) -> None:
+    if isinstance(node, np.ndarray):
+        _emit_array(node, out, style)
+    elif isinstance(node, dict):
         out.append("{")
         for i, (key, value) in enumerate(node.items()):
             if i:
-                out.append(",")
+                out.append(style.item_sep)
             out.append(json.dumps(key))
-            out.append(":")
-            _emit(value, out)
+            out.append(style.key_sep)
+            _emit(value, out, style)
         out.append("}")
     elif isinstance(node, (list, tuple)):
         out.append("[")
         for i, value in enumerate(node):
             if i:
-                out.append(",")
-            _emit(value, out)
+                out.append(style.item_sep)
+            _emit(value, out, style)
         out.append("]")
-    elif isinstance(node, bool):
-        out.append("true" if node else "false")
-    elif isinstance(node, int):
-        out.append(str(node))
     elif isinstance(node, float):
-        out.append(_fmt(node))
-    elif isinstance(node, str):
+        out.append(style.floats([float(node)])[0])
+    else:  # str, int, bool, None; anything else is a TypeError
         out.append(json.dumps(node))
-    else:
-        raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
-def matrix_payload(m) -> list:
-    """Row-major nested lists with [re, im] complex entries (a list of such
-    matrices for a stack, such as a channel's Kraus array)."""
-    a = np.asarray(m, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
+def _text(node, style: _Style) -> str:
+    out: list = []
+    _emit(node, out, style)
+    return "".join(out)
+
+
+def dumps(payload) -> str:
+    """The text `json.dumps(payload)` gives once every array leaf is a nested
+    list, written from the arrays directly."""
+    return _text(payload, _RECORD)
+
+
+def matrix_payload(m) -> np.ndarray:
+    """Read-only float64 array of [re, im] pairs, shape m.shape + (2,): the
+    row-major complex entries of a matrix, or of a stack such as a channel's
+    Kraus array."""
+    a = np.array(m, dtype=np.complex128)
+    pairs = a.view(np.float64).reshape(a.shape + (2,))
+    pairs.setflags(write=False)
+    return pairs
 
 
 def to_payload(obj) -> dict:
@@ -89,9 +156,7 @@ def to_payload(obj) -> dict:
 
 
 def to_text(obj) -> str:
-    out: list = []
-    _emit(to_payload(obj), out)
-    return "".join(out) + "\n"
+    return _text(to_payload(obj), _FILE) + "\n"
 
 
 def write_file(path, obj) -> None:
@@ -99,7 +164,29 @@ def write_file(path, obj) -> None:
         fh.write(to_text(obj))
 
 
-def _parse_matrix(node, what: str) -> np.ndarray:
+def _matrix_at_once(node) -> np.ndarray | None:
+    """The complex matrix of a non-empty array of rows of finite [re, im]
+    number pairs, converted in one pass; None for any other node.  The node
+    must come from a text without `true` or `false`: numpy would silently read
+    a bool as a number."""
+    try:
+        a = np.asarray(node)
+    except (ValueError, TypeError, OverflowError):  # ragged, or nested too deep
+        return None
+    if a.dtype.kind not in "fiu" or a.ndim != 3 or a.shape[2] != 2 or 0 in a.shape:
+        return None
+    mat = np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
+    return mat if np.all(np.isfinite(mat)) else None
+
+
+def _parse_matrix(node, what: str, fast: bool) -> np.ndarray:
+    """`node` as a complex matrix.  With `fast`, a well-formed node takes one
+    numpy conversion; anything else goes through the loop, which alone words
+    the ParseError."""
+    if fast and isinstance(node, list):
+        mat = _matrix_at_once(node)
+        if mat is not None:
+            return mat
     if not isinstance(node, list) or not node:
         raise ParseError(f"{what}: expected a non-empty array of rows")
     width = None
@@ -143,12 +230,12 @@ def _require_dims(doc) -> tuple[int, int]:
     return int(value[0]), int(value[1])
 
 
-def _parse_kraus_list(node, d_in: int, d_out: int, what: str) -> list:
+def _parse_kraus_list(node, d_in: int, d_out: int, what: str, fast: bool) -> list:
     if not isinstance(node, list) or not node:
         raise ParseError(f"{what}: expected a non-empty array of Kraus operators")
     ops = []
     for idx, raw in enumerate(node):
-        mat = _parse_matrix(raw, f"{what}[{idx}]")
+        mat = _parse_matrix(raw, f"{what}[{idx}]", fast)
         if mat.shape != (d_out, d_in):
             raise ParseError(
                 f"{what}[{idx}]: shape {mat.shape} does not match dims ({d_out}, {d_in})")
@@ -168,6 +255,8 @@ def parse_text(text: str) -> dict:
         raise
     except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     kind = doc.get("kind")
@@ -176,10 +265,11 @@ def parse_text(text: str) -> dict:
         raise ParseError("missing or non-string 'kind'")
     if not isinstance(data, dict):
         raise ParseError("missing 'data' object")
+    fast = "true" not in text and "false" not in text  # see _matrix_at_once
 
     if kind == "density":
         dim = _require_dim(doc, "dim")
-        mat = _parse_matrix(data.get("mat"), "mat")
+        mat = _parse_matrix(data.get("mat"), "mat", fast)
         if mat.shape != (dim, dim):
             raise ParseError(f"mat shape {mat.shape} does not match dim {dim}")
         return {"kind": kind, "mat": mat}
@@ -193,7 +283,7 @@ def parse_text(text: str) -> dict:
         for idx, entry in enumerate(outcomes):
             if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
                 raise ParseError(f"outcomes[{idx}]: expected an object with a string label")
-            mat = _parse_matrix(entry.get("mat"), f"outcomes[{idx}].mat")
+            mat = _parse_matrix(entry.get("mat"), f"outcomes[{idx}].mat", fast)
             if mat.shape != (dim, dim):
                 raise ParseError(f"outcomes[{idx}].mat shape {mat.shape} != dim {dim}")
             labels.append(entry["label"])
@@ -202,12 +292,12 @@ def parse_text(text: str) -> dict:
 
     if kind == "kraus_channel":
         d_in, d_out = _require_dims(doc)
-        ops = _parse_kraus_list(data.get("kraus"), d_in, d_out, "kraus")
+        ops = _parse_kraus_list(data.get("kraus"), d_in, d_out, "kraus", fast)
         return {"kind": kind, "d_in": d_in, "d_out": d_out, "kraus": ops}
 
     if kind == "superoperator":
         d_in, d_out = _require_dims(doc)
-        mat = _parse_matrix(data.get("mat"), "mat")
+        mat = _parse_matrix(data.get("mat"), "mat", fast)
         if mat.shape != (d_out * d_out, d_in * d_in):
             raise ParseError(
                 f"mat shape {mat.shape} does not match dims ({d_out * d_out}, {d_in * d_in})")
@@ -223,7 +313,7 @@ def parse_text(text: str) -> dict:
             if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
                 raise ParseError(f"outcomes[{idx}]: expected an object with a string label")
             ops = _parse_kraus_list(entry.get("kraus"), d_in, d_out,
-                                    f"outcomes[{idx}].kraus")
+                                    f"outcomes[{idx}].kraus", fast)
             parsed.append((entry["label"], ops))
         return {"kind": kind, "d_in": d_in, "d_out": d_out, "outcomes": parsed}
 

@@ -118,11 +118,9 @@ def test_tolerance_options_reject_bad_values_as_usage_errors(bad, tmp_path, caps
 def test_verify_incomplete_povm_exits_2(tmp_path, capsys):
     payload = serialize.to_payload(z_povm())
     for outcome in payload["data"]["outcomes"]:
-        for row in outcome["mat"]:
-            for cell in row:
-                cell[0] *= 0.9
+        outcome["mat"] = outcome["mat"] * [0.9, 1.0]  # real parts scaled by 0.9
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(serialize.dumps(payload))
     assert main(["verify", str(path)]) == 2
     report = error_record(capsys, 2)
     assert "completeness residual" in report["error"]
@@ -139,12 +137,21 @@ def test_verify_rejects_povm_whose_spectral_residual_exceeds_the_bound(tmp_path,
             np.eye(d) / 2 + c * (np.ones((d, d)) - np.eye(d)))},
         {"label": "b", "mat": serialize.matrix_payload(np.eye(d) / 2)}]
     povm = tmp_path / "povm.json"
-    povm.write_text(json.dumps(payload))
+    povm.write_text(serialize.dumps(payload))
     rho = write(tmp_path / "rho.json", DensityOperator.from_vector(np.ones(d)))
     assert main(["verify", str(povm)]) == 2
     assert "completeness residual" in error_record(capsys, 2)["error"]
     assert main(["probs", rho, str(povm)]) == 2
     assert "completeness residual" in error_record(capsys, 2)["error"]
+
+
+def test_verify_deeply_nested_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["verify", str(path)]) == 1
+    error = error_record(capsys, 1)["error"]
+    assert error.startswith(f"ParseError: {path}: invalid JSON: ")
+    assert "nested too deeply" in error
 
 
 def test_verify_unparsable_exits_1(tmp_path, capsys):
@@ -173,7 +180,7 @@ def test_verify_transpose_as_kraus_channel_exits_1(tmp_path, capsys):
                "data": {"kraus": [serialize.matrix_payload(
                    transpose_superoperator(2).mat)]}}
     path = tmp_path / "transpose_kraus.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(serialize.dumps(payload))
     assert main(["verify", str(path)]) == 1
     error_record(capsys, 1)
 
@@ -226,7 +233,7 @@ def test_instrument_with_an_effect_above_identity_fails_every_command(tmp_path, 
     payload["data"]["outcomes"][0]["kraus"] = [
         serialize.matrix_payload(np.diag([np.sqrt(1 + 1.5e-9), 0.0]))]
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(serialize.dumps(payload))
     label = payload["data"]["outcomes"][0]["label"]
     for argv in (["verify", str(path)], ["decompose", str(path), label],
                  ["fuse", str(path), str(path), "--out", str(tmp_path / "out.json")]):
@@ -447,6 +454,17 @@ def test_suite_reports_are_seed_stable(capsys):
     assert main(["suite", "nosignal", "--trials", "10", "--seed", "1"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_suite_out_of_memory_exits_2_with_a_record(capsys, monkeypatch):
+    # Raised, never provoked: a real oversized request could fill the host's memory.
+    def oversized(**kwargs):
+        raise MemoryError("Unable to allocate 116. TiB for an array")
+
+    monkeypatch.setattr(harness, "run_nosignal_suite", oversized)
+    assert main(["suite", "nosignal", "--trials", "1", "--dims", "2,2000000"]) == 2
+    error = error_record(capsys, 2)["error"]
+    assert error == "MemoryError: Unable to allocate 116. TiB for an array"
 
 
 # --- demo ------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmeasure import harness, matkit
+from qmeasure import decomposition, harness, matkit
 from qmeasure.channels import (KrausChannel, apply_map, choi_from_map,
                                completely_depolarizing, identity_channel,
                                unitary_channel)
@@ -144,6 +144,26 @@ def test_kraus_rank_single_operator():
     rng = np.random.default_rng(9)
     m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     assert kraus_rank(KrausChannel.from_ops([m])) == 1
+
+
+def test_kraus_rank_takes_the_spectrum_of_the_choi_matrix_itself(monkeypatch):
+    channel = harness.random_cptp(3, 2, 2, np.random.default_rng(4))
+    choi_calls, spectra = [], []
+    choi, eigvalsh = decomposition.choi_from_map, np.linalg.eigvalsh
+
+    def counted_choi(m):
+        choi_calls.append(choi(m))
+        return choi_calls[-1]
+
+    def recorded(a, *args, **kwargs):
+        spectra.append(a)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "choi_from_map", counted_choi)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    assert kraus_rank(channel) == 2
+    assert len(choi_calls) == 1
+    assert len(spectra) == 1 and spectra[0] is choi_calls[0].mat
 
 
 def test_kraus_rank_atom_reset_is_two():
