@@ -3,18 +3,16 @@ instruments.
 
 Complex scalars are [re, im] pairs, matrices are row-major arrays of rows,
 and floats are printed with 17 significant digits, so write -> read -> write
-round trips are byte identical.  Payloads carry matrices as float arrays, and
-one writer renders both files and the CLI's records (`dumps`, the text
-`json.dumps` gives for the same values as nested lists), formatting each
-distinct float of an array once.  Parsing is split in two: `parse_text` only
-checks syntax and shapes (parse errors), `build` constructs domain objects
-(whose invariant checks may raise ValueError).
+round trips are byte identical.  Payloads carry matrices as float arrays,
+which the file writer and `dumps` (the CLI's records) expand to nested lists
+one array at a time, as they write it.  Parsing is split in two: `parse_text`
+only checks syntax and shapes (parse errors), `build` constructs domain
+objects (whose invariant checks may raise ValueError).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,107 +26,56 @@ class ParseError(ValueError):
     """Malformed file: bad JSON, unknown kind, or wrong shapes."""
 
 
-class _Style(NamedTuple):
-    """Separators and float spelling of one JSON text style."""
-
-    item_sep: str
-    key_sep: str
-    spell: Callable[[float], str]  # a C-level formatter, mapped over the floats
-    respell: dict  # the spellings this style replaces
-
-    def floats(self, values) -> list:
-        texts = list(map(self.spell, values))
-        return list(map(self.respell.get, texts, texts))
+def _fmt(x: float) -> str:
+    v = float(x)
+    if v == 0.0:  # normalize -0.0 so round trips stay byte identical
+        v = 0.0
+    return f"{v:.17g}"
 
 
-# Records: exactly `json.dumps`'s text, NaN and Infinity spelled as it does.
-_RECORD = _Style(", ", ": ", float.__repr__,
-                 {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"})
-# Files: compact, 17 significant digits, -0.0 normalised to 0 so round trips
-# stay byte identical.
-_FILE = _Style(",", ":", "{:.17g}".format, {"-0": "0"})
-
-
-_ARRAY_CHUNK = 1 << 15  # elements per assembly pass, so the temporaries stay small
-
-
-def _emit_array(a: np.ndarray, out: list, style: _Style) -> None:
-    """Nested-list JSON text of a float array, written in vectorised passes.
-
-    Each distinct float64 bit pattern is formatted once (so -0.0 keeps its own
-    text), and the brackets before element i follow from its flat index: it
-    closes and reopens one bracket level per trailing block of axes whose size
-    divides i.  The text is assembled a chunk of elements at a time: whole-array
-    temporaries of a few MB would stay resident in the heap after they are freed.
-    """
-    if a.dtype != np.float64 or a.ndim == 0 or a.size == 0:
-        _emit(a.tolist(), out, style)
-        return
-    flat = np.ascontiguousarray(a).reshape(-1).view(np.uint64)
-    ordered = np.sort(flat)  # np.unique without an inverse may hash, slowly for many values
-    bits = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
-    del ordered
-    texts = np.array(style.floats(bits.view(np.float64).tolist()), dtype=object)
-    depth = a.ndim
-    periods = np.cumprod(a.shape[:0:-1]).tolist()
-    seps = np.array(["]" * k + style.item_sep + "[" * k for k in range(depth)], dtype=object)
-    for start in range(0, flat.size, _ARRAY_CHUNK):
-        chunk = flat[start:start + _ARRAY_CHUNK]
-        closes = np.zeros(chunk.size, dtype=np.intp)
-        for period in periods:
-            closes[-start % period::period] += 1
-        tokens = np.empty(2 * chunk.size, dtype=object)
-        tokens[0::2] = seps[closes]
-        local, inverse = np.unique(chunk, return_inverse=True)
-        tokens[1::2] = texts[np.searchsorted(bits, local)][inverse]
-        if start == 0:
-            tokens[0] = "[" * depth
-        out.append("".join(tokens.tolist()))
-    out.append("]" * depth)
-
-
-def _emit(node, out: list, style: _Style) -> None:
+def _emit(node, out: list) -> None:
     if isinstance(node, np.ndarray):
-        _emit_array(node, out, style)
-    elif isinstance(node, dict):
+        node = node.tolist()
+    if isinstance(node, dict):
         out.append("{")
         for i, (key, value) in enumerate(node.items()):
             if i:
-                out.append(style.item_sep)
+                out.append(",")
             out.append(json.dumps(key))
-            out.append(style.key_sep)
-            _emit(value, out, style)
+            out.append(":")
+            _emit(value, out)
         out.append("}")
     elif isinstance(node, (list, tuple)):
         out.append("[")
         for i, value in enumerate(node):
             if i:
-                out.append(style.item_sep)
-            _emit(value, out, style)
+                out.append(",")
+            _emit(value, out)
         out.append("]")
+    elif isinstance(node, bool):
+        out.append("true" if node else "false")
+    elif isinstance(node, int):
+        out.append(str(node))
     elif isinstance(node, float):
-        out.append(style.floats([float(node)])[0])
-    else:  # str, int, bool, None; anything else is a TypeError
+        out.append(_fmt(node))
+    elif isinstance(node, str):
         out.append(json.dumps(node))
-
-
-def _text(node, style: _Style) -> str:
-    out: list = []
-    _emit(node, out, style)
-    return "".join(out)
+    else:
+        raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
 def dumps(payload) -> str:
-    """The text `json.dumps(payload)` gives once every array leaf is a nested
-    list, written from the arrays directly."""
-    return _text(payload, _RECORD)
+    """`json.dumps(payload)`, each array leaf written as the nested lists it
+    stands for."""
+    return json.dumps(payload, default=np.ndarray.tolist)
 
 
 def matrix_payload(m) -> np.ndarray:
     """Read-only float64 array of [re, im] pairs, shape m.shape + (2,): the
     row-major complex entries of a matrix, or of a stack such as a channel's
-    Kraus array."""
-    a = np.array(m, dtype=np.complex128)
+    Kraus array.  A C-ordered copy whatever the layout of `m`, since the pairs
+    are a float view of its complex entries."""
+    a = np.array(m, dtype=np.complex128, order="C")
     pairs = a.view(np.float64).reshape(a.shape + (2,))
     pairs.setflags(write=False)
     return pairs
@@ -156,7 +103,9 @@ def to_payload(obj) -> dict:
 
 
 def to_text(obj) -> str:
-    return _text(to_payload(obj), _FILE) + "\n"
+    out: list = []
+    _emit(to_payload(obj), out)
+    return "".join(out) + "\n"
 
 
 def write_file(path, obj) -> None:
