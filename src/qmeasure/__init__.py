@@ -17,8 +17,8 @@ from .measure import (Effect, Instrument, OutcomeResult, Povm, apply_instrument,
                       from_effect_channel_pairs, from_generalized,
                       fuse_sequential, induced_povm, luders_from_povm,
                       probabilities)
-from .decomposition import (PremiseReport, decompose, kraus_rank,
-                    reconstruction_residual, verify_premise)
+from .decomposition import (Decomposition, PremiseReport, decompose, kraus_rank,
+                            reconstruction_residual, verify_premise)
 from . import errors, harness, serialize
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "Effect", "Povm", "Instrument", "OutcomeResult", "probabilities",
     "induced_povm", "luders_from_povm", "from_generalized",
     "from_effect_channel_pairs", "apply_instrument", "fuse_sequential",
-    "PremiseReport", "verify_premise", "decompose", "kraus_rank",
+    "PremiseReport", "Decomposition", "verify_premise", "decompose", "kraus_rank",
     "reconstruction_residual",
     "errors", "harness", "serialize",
 ]

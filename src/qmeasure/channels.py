@@ -79,16 +79,6 @@ class Superoperator:
                 f"superoperator shape {m.shape} != ({self.d_out ** 2}, {self.d_in ** 2})")
         object.__setattr__(self, "mat", matkit.freeze(m))
 
-    @classmethod
-    def from_sandwich_pairs(cls, pairs, d_in: int, d_out: int) -> "Superoperator":
-        """Superoperator of rho -> sum_i N_i rho M_i, given (N_i, M_i) pairs."""
-        acc = np.zeros((d_out ** 2, d_in ** 2), dtype=complex)
-        for left, right in pairs:
-            n = matkit.require_matrix(left)
-            m_right = matkit.require_matrix(right)
-            acc += np.kron(m_right.T, n)
-        return cls(acc, d_in=d_in, d_out=d_out)
-
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:

@@ -91,16 +91,14 @@ def cmd_decompose(args) -> int:
     inst = _load(args.instrument, Instrument, tol)
     channel = inst.channel(args.label)
     effect = induced_povm(inst).effect(args.label)
-    premise = decomposition.verify_premise(channel, effect)
-    conditional = decomposition.decompose(channel, effect, check=False)
-    recon = decomposition._check_decomposition(channel, effect, conditional)
+    rec = decomposition.decompose(channel, effect)
     _report({"command": "decompose", "label": args.label,
              "effect": serialize.matrix_payload(effect.mat),
-             "conditional_kraus": serialize.matrix_payload(conditional.kraus),
-             "premise": premise.to_dict(),
-             "reconstruction_residual": recon,
+             "conditional_kraus": serialize.matrix_payload(rec.kraus),
+             "premise": rec.premise.to_dict(),
+             "reconstruction_residual": rec.reconstruction_residual,
              "kraus_rank": decomposition.kraus_rank(channel, tol)})
-    _say(f"outcome {args.label!r}: reconstruction residual {recon:.3e}")
+    _say(f"outcome {args.label!r}: reconstruction residual {rec.reconstruction_residual:.3e}")
     return EXIT_OK
 
 
@@ -213,13 +211,12 @@ def cmd_demo(args) -> int:
     outcome_info = []
     for label, channel in inst.outcomes:
         effect = povm.effect(label)
-        conditional = decomposition.decompose(channel, effect, check=False)
+        rec = decomposition.decompose(channel, effect)
         outcome_info.append({
             "label": label,
             "effect": serialize.matrix_payload(effect.mat),
             "kraus_rank": decomposition.kraus_rank(channel, tol),
-            "reconstruction_residual":
-                decomposition._check_decomposition(channel, effect, conditional),
+            "reconstruction_residual": rec.reconstruction_residual,
         })
     _report({"command": "demo", "which": args.which, "outcomes": outcome_info})
     for info in outcome_info:

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import matkit
 from .channels import KrausChannel, unitary_channel
-from .decomposition import decompose, reconstruction_residual, verify_premise
+from .decomposition import decompose
 from .errors import MixMismatchError
 from .matkit import DEFAULT_TOL, Tolerances, dagger
 from .measure import (P_FLOOR, Effect, Instrument, Povm, apply_instrument,
@@ -426,7 +426,8 @@ def run_linearity_suite(trials: int = 100, seed: int = 7, dims=(2, 3),
 def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
                     tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Random (channel, effect) pairs: reconstruct the conditional evolution
-    and collect reconstruction, trace-preservation, and vanishing-term residuals."""
+    and collect reconstruction, trace-preservation, and vanishing-term residuals.
+    A trial whose decomposition fails its own gates is a witness carrying the error."""
     max_res = 0.0
     max_vanish = 0.0
     witnesses = []
@@ -437,17 +438,19 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
         f = random_effect(d, rng, zero_eigenvalues=int(rng.integers(0, d)), tol=tol)
         e0 = random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
         b = KrausChannel(e0.kraus @ f.root, d_in=d, d_out=d)
-        premise = verify_premise(b, f)
-        e = decompose(b, f, check=False)
-        recon = reconstruction_residual(b, f, e, seed=trial_seed)
-        tp_res = tol.completeness_residual(e.completeness())
-        vanish = max(premise.kernel_residual, premise.cross_residual)
+        witness = {"trial": i, "seed": trial_seed, "dim": d}
+        try:
+            rec = decompose(b, f)
+        except ArithmeticError as exc:  # a failed trace or reconstruction gate
+            witnesses.append({**witness, "error": str(exc)})
+            continue
+        recon, tp_res = rec.reconstruction_residual, rec.completeness_residual
+        vanish = max(rec.premise.kernel_residual, rec.premise.cross_residual)
         max_res = max(max_res, recon, tp_res)
         max_vanish = max(max_vanish, vanish)
         if recon > tol.eps or tp_res > tol.eps or vanish > tol.eps / 10:
-            witnesses.append({"trial": i, "seed": trial_seed, "dim": d,
-                              "reconstruction": recon, "trace_preservation": tp_res,
-                              "vanishing": vanish})
+            witnesses.append({**witness, "reconstruction": recon,
+                              "trace_preservation": tp_res, "vanishing": vanish})
     return SuiteReport("lemma", trials, seed, max_res, witnesses,
                        passed=not witnesses,
                        details={"dims": list(dims), "max_vanishing": max_vanish})

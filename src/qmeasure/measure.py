@@ -185,11 +185,8 @@ def induced_povm(inst: Instrument) -> Povm:
 
 def luders_from_povm(p: Povm) -> Instrument:
     """Ideal instrument for a POVM: outcome maps rho -> sqrt(F) rho sqrt(F)."""
-    outs = []
-    for label, eff in p.outcomes:
-        root = matkit.psd_sqrt(eff.mat, p.tol)
-        outs.append((label, KrausChannel(root[None], d_in=p.dim, d_out=p.dim)))
-    return Instrument(tuple(outs), p.tol)
+    return Instrument(tuple((label, KrausChannel(eff.root[None], d_in=p.dim, d_out=p.dim))
+                            for label, eff in p.outcomes), p.tol)
 
 
 def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrument:
@@ -233,9 +230,8 @@ def from_effect_channel_pairs(pairs, labels=None, tol: Tolerances = DEFAULT_TOL)
             raise ValueError(f"channel input {ch.d_in} does not match effect dimension {effect.dim}")
         if not ch.is_trace_preserving(tol):
             raise ValueError(f"conditional channel for outcome {label!r} is not trace preserving")
-        root = matkit.psd_sqrt(effect.mat, tol)
         outs.append((str(label),
-                     KrausChannel(ch.kraus @ root, d_in=effect.dim, d_out=ch.d_out)))
+                     KrausChannel(ch.kraus @ effect.root, d_in=effect.dim, d_out=ch.d_out)))
     return Instrument(tuple(outs), tol)
 
 

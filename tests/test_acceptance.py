@@ -15,8 +15,7 @@ from qmeasure.channels import (KrausChannel, apply_map, choi_from_map,
 from qmeasure.errors import NotCPError
 from qmeasure.harness import (correlated_env_demo, find_nonlinearity_witness,
                               nonlinear_square_map, run_nosignal_suite)
-from qmeasure.decomposition import (decompose, kraus_rank, reconstruction_residual,
-                            verify_premise)
+from qmeasure.decomposition import decompose, kraus_rank, reconstruction_residual
 from qmeasure.measure import (Effect, apply_instrument, fuse_sequential,
                               from_effect_channel_pairs, from_generalized,
                               induced_povm)
@@ -42,14 +41,11 @@ def lemma_corpus():
             e0 = harness.random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
             root = matkit.psd_sqrt(f.mat)
             b = KrausChannel.from_ops([k @ root for k in e0.kraus])
-            premise = verify_premise(b, f)
-            e = decompose(b, f, check=False)
-            stats["recon"] = max(stats["recon"],
-                                 reconstruction_residual(b, f, e, seed=trial))
-            stats["tp"] = max(stats["tp"],
-                              float(np.max(np.abs(e.completeness() - np.eye(d)))))
-            stats["kernel"] = max(stats["kernel"], premise.kernel_residual)
-            stats["cross"] = max(stats["cross"], premise.cross_residual)
+            rec = decompose(b, f)
+            stats["recon"] = max(stats["recon"], rec.reconstruction_residual)
+            stats["tp"] = max(stats["tp"], rec.completeness_residual)
+            stats["kernel"] = max(stats["kernel"], rec.premise.kernel_residual)
+            stats["cross"] = max(stats["cross"], rec.premise.cross_residual)
             stats["pairs"] += 1
     stats["seconds"] = time.perf_counter() - start
     return stats
@@ -153,7 +149,7 @@ def test_criterion_7_degeneracy_witness():
     excited = inst.channel("1")
     effect = induced_povm(inst).effect("1")
     rank = kraus_rank(excited)
-    conditional = decompose(excited, effect)
+    conditional = decompose(excited, effect).channel
     recon = reconstruction_residual(excited, effect, conditional)
     ok = rank == 2 and recon <= 1e-10
     report(7, ok, f"excited-outcome map has Kraus rank {rank} "

@@ -213,8 +213,8 @@ def test_transpose_on_half_of_bell_goes_negative():
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
             units.append(np.kron(e, np.eye(2)))
-    partial_transpose = Superoperator.from_sandwich_pairs(
-        [(u, u) for u in units], d_in=4, d_out=4)
+    # rho -> sum_u u rho u has the column-stacking matrix sum_u u^T (x) u
+    partial_transpose = Superoperator(sum(np.kron(u.T, u) for u in units), d_in=4, d_out=4)
     bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     out = apply_map(partial_transpose, np.outer(bell, bell.conj()))
     # eigenvalue oracle: the partially transposed Bell projector is SWAP/2

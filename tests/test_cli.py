@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qmeasure import harness, serialize
+from qmeasure import decomposition, harness, serialize
 from qmeasure.channels import KrausChannel, superop_from_map, transpose_superoperator
 from qmeasure.cli import main
 from qmeasure.measure import Povm, fuse_sequential, luders_from_povm
@@ -378,6 +378,22 @@ def test_decompose_missing_label_exits_2(tmp_path, capsys):
     path = write(tmp_path / "atom.json", harness.atom_demo())
     assert main(["decompose", path, "zzz"]) == 2
     assert "zzz" in error_record(capsys, 2)["error"]
+
+
+def test_decompose_and_demo_check_the_premise_once_per_outcome(tmp_path, monkeypatch):
+    checked = []
+    verify_premise = decomposition.verify_premise
+
+    def counted(b, f):
+        checked.append(f)
+        return verify_premise(b, f)
+
+    monkeypatch.setattr(decomposition, "verify_premise", counted)
+    path = write(tmp_path / "atom.json", harness.atom_demo())
+    assert main(["decompose", path, "1"]) == 0
+    assert len(checked) == 1
+    assert main(["demo", "atom"]) == 0
+    assert len(checked) == 1 + 2
 
 
 # --- probs / evolve --------------------------------------------------------

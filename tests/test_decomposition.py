@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,8 @@ from qmeasure.channels import (KrausChannel, apply_map, choi_from_map,
                                completely_depolarizing, identity_channel,
                                unitary_channel)
 from qmeasure.errors import PremiseViolatedError
-from qmeasure.decomposition import (RECONSTRUCTION_STATES, decompose, kraus_rank,
-                                    reconstruction_residual, verify_premise)
+from qmeasure.decomposition import (RECONSTRUCTION_STATES, Decomposition, decompose,
+                                    kraus_rank, reconstruction_residual, verify_premise)
 from qmeasure.matkit import Tolerances
 from qmeasure.measure import Effect, induced_povm
 from qmeasure.states import DensityOperator
@@ -104,7 +107,7 @@ def test_premise_bounds_cover_sampled_terms_of_perturbed_map():
 
 def test_decompose_full_rank_luders_gives_identity():
     f = Effect(np.diag([0.9, 0.6]))
-    e = decompose(luders_map(f.mat), f)
+    e = decompose(luders_map(f.mat), f).channel
     assert maps_equal(e, identity_channel(2), 1e-10)
 
 
@@ -113,7 +116,7 @@ def test_decompose_unitary_after_luders_recovers_conjugation():
     u = harness.random_unitary(3, rng)
     f = Effect(np.diag([0.9, 0.5, 0.2]))  # full rank: no kernel gauge freedom
     b = KrausChannel.from_ops([u @ matkit.psd_sqrt(f.mat)])
-    e = decompose(b, f)
+    e = decompose(b, f).channel
     assert maps_equal(e, unitary_channel(u), 1e-9)
 
 
@@ -121,7 +124,7 @@ def test_decompose_atom_outcome():
     inst = harness.atom_demo()
     b1 = inst.channel("1")
     f1 = induced_povm(inst).effect("1")
-    e = decompose(b1, f1)
+    e = decompose(b1, f1).channel
     assert reconstruction_residual(b1, f1, e) <= 1e-10
     # the conditional channel resets the excited subspace to the ground state
     ground = np.zeros((3, 3), dtype=complex)
@@ -130,6 +133,22 @@ def test_decompose_atom_outcome():
         excited = np.zeros((3, 3), dtype=complex)
         excited[level, level] = 1.0
         np.testing.assert_allclose(apply_map(e, excited), ground, atol=1e-10)
+
+
+def test_decompose_returns_one_frozen_record_of_the_facts_it_checked():
+    rng = np.random.default_rng(21)
+    f = harness.random_effect(3, rng, zero_eigenvalues=1)
+    b = compose_with_luders(harness.random_cptp(3, 3, 2, rng), f.mat)
+    rec = decompose(b, f)
+    assert isinstance(rec, Decomposition)
+    assert rec.premise == verify_premise(b, f)
+    assert (rec.reconstruction_residual.hex()
+            == reconstruction_residual(b, f, rec.channel).hex())
+    assert (rec.completeness_residual.hex()
+            == f.tol.completeness_residual(rec.channel.completeness()).hex())
+    assert rec.kraus is rec.channel.kraus
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.channel = identity_channel(3)
 
 
 def test_decompose_requires_premise():
@@ -183,7 +202,7 @@ def test_round_trip_random_pairs(d):
         f = harness.random_effect(d, rng, zero_eigenvalues=zero)
         e0 = harness.random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
         b = compose_with_luders(e0, f.mat)
-        e = decompose(b, f)
+        e = decompose(b, f).channel
         assert reconstruction_residual(b, f, e, seed=trial) <= 1e-9
         assert np.max(np.abs(e.completeness() - np.eye(d))) <= 1e-9
 
@@ -204,7 +223,7 @@ def test_decomposed_channel_is_cptp():
     f = harness.random_effect(4, rng, zero_eigenvalues=2)
     e0 = harness.random_cptp(4, 4, 2, rng)
     b = compose_with_luders(e0, f.mat)
-    e = decompose(b, f)
+    e = decompose(b, f).channel
     assert choi_from_map(e).is_cp()
     assert e.is_trace_preserving()
 
@@ -215,7 +234,7 @@ def test_reconstruction_not_channel_equality():
     f = harness.random_effect(3, rng, zero_eigenvalues=1)
     e0 = harness.random_cptp(3, 3, 2, rng)
     b = compose_with_luders(e0, f.mat)
-    e = decompose(b, f)
+    e = decompose(b, f).channel
     assert reconstruction_residual(b, f, e) <= 1e-9
     root = matkit.psd_sqrt(f.mat)
     rng2 = np.random.default_rng(16)
@@ -248,7 +267,7 @@ def test_reconstruction_residual_matches_a_per_state_loop_and_sees_a_perturbed_m
     d = 4
     f = harness.random_effect(d, rng, zero_eigenvalues=1)
     b = compose_with_luders(harness.random_cptp(d, d, 2, rng), f.mat)
-    e = decompose(b, f)
+    e = decompose(b, f).channel
     assert reconstruction_residual(b, f, e) <= 1e-9 * d
     assert per_state_reconstruction_residual(b, f, e) <= 1e-9 * d
     ops = np.array(e.kraus)
@@ -284,15 +303,17 @@ def test_checked_decompose_gates_at_the_eps_times_d_of_the_effect(delta, accepte
     with pytest.raises(PremiseViolatedError):
         decompose(b, Effect(mat))
     f = Effect(mat, Tolerances(eps=1e-3))
-    residual = reconstruction_residual(b, f, decompose(b, f, check=False))
     bound = f.tol.eps * f.dim
     if accepted:
+        residual = decompose(b, f).reconstruction_residual
         assert 1e-9 * f.dim < residual <= bound
-        decompose(b, f)
     else:
-        assert residual > bound
-        with pytest.raises(ArithmeticError, match="reconstruction residual"):
+        with pytest.raises(ArithmeticError, match="reconstruction residual") as raised:
             decompose(b, f)
+        named = re.fullmatch(r"reconstruction residual (\S+) exceeds (\S+)", str(raised.value))
+        residual, named_bound = float(named[1]), float(named[2])
+        assert residual > bound
+        assert named_bound == pytest.approx(bound, rel=1e-3)
 
 
 def test_the_lemma_path_takes_each_spectral_split_of_f_once(monkeypatch):
@@ -312,7 +333,7 @@ def test_the_lemma_path_takes_each_spectral_split_of_f_once(monkeypatch):
     f = harness.random_effect(3, rng, zero_eigenvalues=1)
     b = KrausChannel(harness.random_cptp(3, 3, 2, rng).kraus @ f.root, d_in=3, d_out=3)
     verify_premise(b, f)
-    decompose(b, f, check=True)
+    decompose(b, f)
     assert calls == {"psd_support": 1, "psd_sqrt": 1}
     for array in (f.root, *f.support):
         assert not array.flags.writeable

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qmeasure import harness, matkit
+from qmeasure import decomposition, harness, matkit
+from qmeasure.cli import main
 from qmeasure.errors import MixMismatchError
 from qmeasure.harness import (basis_povm, check_ensemble_equivalence,
                               check_no_signaling, correlated_env_demo,
@@ -185,6 +186,18 @@ def test_lemma_suite_passes():
     assert report.details["max_vanishing"] <= 1e-10
 
 
+def test_lemma_trial_whose_decomposition_fails_a_gate_is_a_witness(monkeypatch):
+    monkeypatch.setattr(decomposition, "reconstruction_residual", lambda *args, **kw: 1.0)
+    report = run_lemma_suite(trials=2, seed=5, dims=(2, 3))
+    assert not report.passed
+    dim = int(np.random.default_rng(5).choice((2, 3)))
+    assert report.witnesses[0] == {
+        "trial": 0, "seed": 5, "dim": dim,
+        "error": f"reconstruction residual 1.000e+00 exceeds {1e-9 * dim:.3e}"}
+    assert [w["trial"] for w in report.witnesses] == [0, 1]
+    assert main(["suite", "lemma", "--trials", "2", "--seed", "5", "--dims", "2,3"]) == 3
+
+
 def test_correlated_env_demo_branches():
     report = correlated_env_demo()
     np.testing.assert_allclose(report.initial_system, np.eye(2) / 2, atol=1e-12)
@@ -215,7 +228,7 @@ def test_stern_gerlach_decomposes_to_unitary_conjugation():
     povm = induced_povm(inst)
     for label, ch in inst.outcomes:
         eff = povm.effect(label)
-        conditional = decompose(ch, eff)
+        conditional = decompose(ch, eff).channel
         assert reconstruction_residual(ch, eff, conditional) <= 1e-10
 
 

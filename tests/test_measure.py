@@ -203,6 +203,21 @@ def test_from_effect_channel_pairs_identity_channels_match_luders():
         np.testing.assert_allclose(r1.state.mat, r2.state.mat, atol=1e-12)
 
 
+def test_luders_and_effect_channel_pairs_read_the_cached_root_of_each_effect(monkeypatch):
+    povm = trine_povm()
+    roots = [eff.root for eff in povm.effects]
+    taken = []
+    psd_sqrt = matkit.psd_sqrt
+    monkeypatch.setattr(matkit, "psd_sqrt",
+                        lambda *args, **kw: taken.append(args) or psd_sqrt(*args, **kw))
+    ideal = luders_from_povm(povm)
+    built = from_effect_channel_pairs([(eff, identity_channel(2)) for eff in povm.effects])
+    assert taken == []
+    for (_, luders), (_, paired), root in zip(ideal.outcomes, built.outcomes, roots):
+        np.testing.assert_array_equal(luders.kraus[0], root)
+        np.testing.assert_array_equal(paired.kraus[0], root)
+
+
 def test_from_effect_channel_pairs_requires_tp_channels():
     povm = z_povm()
     lossy = KrausChannel.from_ops([np.eye(2) / np.sqrt(2)])
