@@ -70,8 +70,7 @@ def verify_premise(b: KrausChannel, f: Effect) -> PremiseReport:
         raise PremiseViolatedError(
             f"tr(B(rho)) != tr(rho F): spectral residual {trace_residual:.3e}")
 
-    supp = f.support
-    w = supp.eigenvalues
+    supp, w = f.support, f.spectrum.eigenvalues
     cutoff = f.tol.rank_cutoff(float(w.max()))
     support_rank = int(np.sum(w > cutoff))
     borderline = tuple(float(x) for x in w if cutoff / 10.0 < x <= cutoff * 10.0)

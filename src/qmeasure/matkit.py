@@ -153,10 +153,9 @@ def eigh_desc(a, tol: Tolerances = DEFAULT_TOL) -> HermitianDecomposition:
 
     Eigenvalues come out descending; near-ties are broken by comparing the
     phase-fixed eigenvector entries, so repeated runs order degenerate
-    subspaces the same way.
+    subspaces the same way.  Raises ValueError unless `a` is Hermitian within eps.
     """
-    m = require_square(a)
-    w, v = np.linalg.eigh(hermitian_part(m))
+    w, v = np.linalg.eigh(tol.hermitian(a, "matrix"))
     cols = _phase_fixed(v, tol.eps)
     # Sort keys, most significant first: the eigenvalue rounded to 12 places
     # (Python's correctly rounded `round`; np.round can differ in the last
@@ -190,47 +189,41 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
     return np.einsum("kakb->ab", t)
 
 
-def _psd_eigh(a, tol: Tolerances) -> HermitianDecomposition:
-    """eigh_desc of a matrix checked Hermitian and PSD within eps."""
-    dec = eigh_desc(tol.hermitian(a, "matrix"), tol)
-    excess = tol.spectrum_violation(dec.eigenvalues)
+def _support_mask(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Which eigenvalues `w` pass the rank cutoff; NotPSDError if one is below -eps."""
+    excess = tol.spectrum_violation(w)
     if excess is not None:
         raise NotPSDError(f"eigenvalue {-excess:.3e} is below -eps = {-tol.eps:.1e}")
-    return dec
+    return w > tol.rank_cutoff(float(w.max()))
 
 
-def psd_sqrt(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Principal square root of a PSD matrix.
+def psd_sqrt(spectrum: HermitianDecomposition, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Principal square root of a PSD matrix, given as its eigh_desc spectrum.
 
-    Eigenvalues in [-eps, 0) are treated as rounding noise and clamped to
-    zero; anything below -eps raises NotPSDError.  Positive eigenvalues under
-    the rank cutoff are zeroed as well, so the root's kernel agrees with
-    psd_support's (a sqrt would otherwise amplify 1e-16 assembly noise into
-    1e-8 kernel components).
+    Eigenvalues in [-eps, 0) are treated as rounding noise and clamped to zero;
+    anything below -eps raises NotPSDError.  Positive eigenvalues under the rank
+    cutoff are zeroed as well, so the root's kernel agrees with psd_support's (a
+    sqrt would otherwise amplify 1e-16 assembly noise into 1e-8 kernel components).
     """
-    w, v = _psd_eigh(a, tol)
-    w = np.where(w > tol.rank_cutoff(float(w.max())), w, 0.0)
+    w, v = spectrum
+    w = np.where(_support_mask(w, tol), w, 0.0)
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))
 
 
 class SupportDecomposition(NamedTuple):
-    """Support projector, kernel projector, sqrt of the support-restricted inverse,
-    and the descending eigenvalues they were built from."""
+    """Support projector, kernel projector, and sqrt of the support-restricted inverse."""
 
     support: np.ndarray
     kernel: np.ndarray
     pinv_sqrt: np.ndarray
-    eigenvalues: np.ndarray
 
 
-def psd_support(a, tol: Tolerances = DEFAULT_TOL) -> SupportDecomposition:
-    """Split a PSD matrix into its support and kernel sectors.
-
-    pinv_sqrt vanishes on the kernel and satisfies
-    pinv_sqrt @ a @ pinv_sqrt == support projector.
-    """
-    w, v = _psd_eigh(a, tol)
-    mask = w > tol.rank_cutoff(float(w.max()))
+def psd_support(spectrum: HermitianDecomposition,
+                tol: Tolerances = DEFAULT_TOL) -> SupportDecomposition:
+    """Support and kernel sectors of a PSD matrix A, given as its eigh_desc spectrum;
+    pinv_sqrt vanishes on the kernel and pinv_sqrt @ A @ pinv_sqrt is the support projector."""
+    w, v = spectrum
+    mask = _support_mask(w, tol)
     vs = v[:, mask]
     support = vs @ dagger(vs)
     kernel = np.eye(w.size, dtype=complex) - support
@@ -238,7 +231,7 @@ def psd_support(a, tol: Tolerances = DEFAULT_TOL) -> SupportDecomposition:
     inv_sqrt[mask] = 1.0 / np.sqrt(w[mask])
     pinv_sqrt = (v * inv_sqrt) @ dagger(v)
     return SupportDecomposition(hermitian_part(support), hermitian_part(kernel),
-                                hermitian_part(pinv_sqrt), w)
+                                hermitian_part(pinv_sqrt))
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ LABEL_SEPARATOR = "·"
 @dataclass(frozen=True, eq=False)
 class Effect:
     """Positive operator with spectrum inside [0, 1] (up to eps slack); `support`
-    and `root` are its psd_support and psd_sqrt, taken once and read-only."""
+    and `root` are built from its one eigh_desc `spectrum`, all taken once, read-only."""
 
     mat: np.ndarray
     tol: Tolerances = DEFAULT_TOL
@@ -41,17 +41,24 @@ class Effect:
         return self.mat.shape[0]
 
     @cached_property
+    def spectrum(self) -> matkit.HermitianDecomposition:
+        return _read_only(matkit.eigh_desc(self.mat, self.tol))
+
+    @cached_property
     def support(self) -> matkit.SupportDecomposition:
-        supp = matkit.psd_support(self.mat, self.tol)
-        for part in supp:
-            part.setflags(write=False)
-        return supp
+        return _read_only(matkit.psd_support(self.spectrum, self.tol))
 
     @cached_property
     def root(self) -> np.ndarray:
-        root = matkit.psd_sqrt(self.mat, self.tol)
+        root = matkit.psd_sqrt(self.spectrum, self.tol)
         root.setflags(write=False)
         return root
+
+
+def _read_only(parts: tuple) -> tuple:
+    for part in parts:
+        part.setflags(write=False)
+    return parts
 
 
 @dataclass(frozen=True, eq=False)

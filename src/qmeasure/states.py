@@ -176,7 +176,7 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
     if mismatch > tol.eps:
         raise TargetMismatchError(f"target ensemble misses the reduced state by {mismatch:.3e}")
 
-    supp = matkit.psd_support(rho_b.mat, tol=tol)
+    supp = matkit.psd_support(matkit.eigh_desc(rho_b.mat, tol), tol)
     for idx, (_, member) in enumerate(target.members):
         leak = float(np.trace(supp.kernel @ member.mat).real)
         if leak > tol.eps:

@@ -39,7 +39,7 @@ def lemma_corpus():
             zero = int(rng.integers(0, d))
             f = harness.random_effect(d, rng, zero_eigenvalues=zero)
             e0 = harness.random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
-            root = matkit.psd_sqrt(f.mat)
+            root = matkit.psd_sqrt(matkit.eigh_desc(f.mat))
             b = KrausChannel.from_ops([k @ root for k in e0.kraus])
             rec = decompose(b, f)
             stats["recon"] = max(stats["recon"], rec.reconstruction_residual)

@@ -17,12 +17,12 @@ from qmeasure.states import DensityOperator
 
 
 def luders_map(effect_mat):
-    root = matkit.psd_sqrt(effect_mat)
+    root = matkit.psd_sqrt(matkit.eigh_desc(effect_mat))
     return KrausChannel.from_ops([root])
 
 
 def compose_with_luders(e0, effect_mat):
-    root = matkit.psd_sqrt(effect_mat)
+    root = matkit.psd_sqrt(matkit.eigh_desc(effect_mat))
     return KrausChannel.from_ops([k @ root for k in e0.kraus])
 
 
@@ -36,7 +36,7 @@ def test_premise_report_carries_the_support_of_f_outside_its_dict():
     report = verify_premise(compose_with_luders(harness.random_cptp(3, 3, 2, rng), f.mat), f)
     assert set(report.to_dict()) == {"trace_residual", "kernel_residual", "cross_residual",
                                      "support_rank", "borderline_eigenvalues"}
-    expected = matkit.psd_support(f.mat)
+    expected = matkit.psd_support(matkit.eigh_desc(f.mat))
     for got, want in zip(f.support, expected):
         np.testing.assert_array_equal(got, want)
 
@@ -96,7 +96,7 @@ def test_premise_bounds_cover_sampled_terms_of_perturbed_map():
              for k in exact.kraus])
         report = verify_premise(b, f)
         assert report.kernel_residual > 1e-13 and report.cross_residual > 1e-8
-        supp = matkit.psd_support(f.mat, tol=tol)
+        supp = matkit.psd_support(matkit.eigh_desc(f.mat, tol), tol=tol)
         for _ in range(50):
             rho = harness.random_density(d, rng).mat
             kern = supp.kernel @ rho @ supp.kernel
@@ -115,7 +115,7 @@ def test_decompose_unitary_after_luders_recovers_conjugation():
     rng = np.random.default_rng(5)
     u = harness.random_unitary(3, rng)
     f = Effect(np.diag([0.9, 0.5, 0.2]))  # full rank: no kernel gauge freedom
-    b = KrausChannel.from_ops([u @ matkit.psd_sqrt(f.mat)])
+    b = KrausChannel.from_ops([u @ matkit.psd_sqrt(matkit.eigh_desc(f.mat))])
     e = decompose(b, f).channel
     assert maps_equal(e, unitary_channel(u), 1e-9)
 
@@ -236,7 +236,7 @@ def test_reconstruction_not_channel_equality():
     b = compose_with_luders(e0, f.mat)
     e = decompose(b, f).channel
     assert reconstruction_residual(b, f, e) <= 1e-9
-    root = matkit.psd_sqrt(f.mat)
+    root = matkit.psd_sqrt(matkit.eigh_desc(f.mat))
     rng2 = np.random.default_rng(16)
     for _ in range(5):
         rho = harness.random_density(3, rng2).mat
@@ -250,7 +250,7 @@ def per_state_reconstruction_residual(b, f, e, seed=11):
     rng = np.random.default_rng(seed)
     shape = (RECONSTRUCTION_STATES, f.dim, f.dim)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    root = matkit.psd_sqrt(f.mat)
+    root = matkit.psd_sqrt(matkit.eigh_desc(f.mat))
     worst = 0.0
     for gi in g:
         rho = gi @ gi.conj().T
@@ -297,7 +297,7 @@ def test_checked_decompose_gates_at_the_eps_times_d_of_the_effect(delta, accepte
     # the pairing misses by about delta / sqrt(2), within 10 eps at eps = 1e-3,
     # and E(sqrt(F) rho sqrt(F)) loses B's cross terms, of order delta
     mat = np.diag([0.5, 0.0])
-    k = matkit.psd_sqrt(mat)
+    k = matkit.psd_sqrt(matkit.eigh_desc(mat))
     k[0, 1] = delta
     b = KrausChannel.from_ops([k])
     with pytest.raises(PremiseViolatedError):
@@ -318,6 +318,7 @@ def test_checked_decompose_gates_at_the_eps_times_d_of_the_effect(delta, accepte
 
 def test_the_lemma_path_takes_each_spectral_split_of_f_once(monkeypatch):
     calls = {"psd_support": 0, "psd_sqrt": 0}
+    decomposed = []
 
     def counted(name):
         inner = getattr(matkit, name)
@@ -329,13 +330,18 @@ def test_the_lemma_path_takes_each_spectral_split_of_f_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(matkit, name, counted(name))
+    eigh_desc = matkit.eigh_desc
+    monkeypatch.setattr(matkit, "eigh_desc",
+                        lambda a, *rest: decomposed.append(np.array(a)) or eigh_desc(a, *rest))
     rng = np.random.default_rng(19)
     f = harness.random_effect(3, rng, zero_eigenvalues=1)
     b = KrausChannel(harness.random_cptp(3, 3, 2, rng).kraus @ f.root, d_in=3, d_out=3)
     verify_premise(b, f)
     decompose(b, f)
     assert calls == {"psd_support": 1, "psd_sqrt": 1}
-    for array in (f.root, *f.support):
+    # one spectrum of F serves the support split, the root and the premise's rank
+    assert sum(np.array_equal(a, f.mat) for a in decomposed) == 1
+    for array in (f.root, *f.support, *f.spectrum):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0

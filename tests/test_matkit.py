@@ -128,36 +128,36 @@ def test_partial_trace_dimension_mismatch():
 
 
 def test_psd_sqrt_diagonal():
-    np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]),
+    np.testing.assert_allclose(psd_sqrt(eigh_desc(np.diag([4.0, 9.0]))), np.diag([2.0, 3.0]),
                                atol=1e-12)
 
 
 def test_psd_sqrt_identity():
-    np.testing.assert_allclose(psd_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(psd_sqrt(eigh_desc(np.eye(3))), np.eye(3), atol=1e-12)
 
 
 def test_psd_sqrt_from_known_factor():
     rng = np.random.default_rng(11)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = g.conj().T @ g
-    s = psd_sqrt(a)
+    s = psd_sqrt(eigh_desc(a))
     assert np.linalg.norm(s @ s - a) <= 1e-9
 
 
 def test_psd_sqrt_rejects_negative():
     with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1.0]))
+        psd_sqrt(eigh_desc(np.diag([1.0, -1.0])))
 
 
 def test_psd_sqrt_idempotence_contract():
     rng = np.random.default_rng(13)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    s = psd_sqrt(g @ g.conj().T)
-    np.testing.assert_allclose(psd_sqrt(s @ s), s, atol=1e-8)
+    s = psd_sqrt(eigh_desc(g @ g.conj().T))
+    np.testing.assert_allclose(psd_sqrt(eigh_desc(s @ s)), s, atol=1e-8)
 
 
 def test_psd_support_diagonal():
-    supp = psd_support(np.diag([1.0, 0.0]))
+    supp = psd_support(eigh_desc(np.diag([1.0, 0.0])))
     np.testing.assert_allclose(supp.support, np.diag([1.0, 0.0]), atol=1e-12)
     np.testing.assert_allclose(supp.kernel, np.diag([0.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(supp.pinv_sqrt, np.diag([1.0, 0.0]), atol=1e-12)
@@ -167,7 +167,7 @@ def test_psd_support_full_rank():
     rng = np.random.default_rng(17)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     f = g @ g.conj().T + 0.1 * np.eye(3)
-    supp = psd_support(f)
+    supp = psd_support(eigh_desc(f))
     np.testing.assert_allclose(supp.support, np.eye(3), atol=1e-9)
     np.testing.assert_allclose(supp.kernel, np.zeros((3, 3)), atol=1e-9)
     np.testing.assert_allclose(supp.pinv_sqrt @ f @ supp.pinv_sqrt, supp.support,
@@ -178,7 +178,7 @@ def test_psd_support_rank_one():
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     proj = np.outer(plus, plus)
     # rank-1 spectral formula: eigenvalue 1/2 with eigenvector |+>
-    supp = psd_support(0.5 * proj)
+    supp = psd_support(eigh_desc(0.5 * proj))
     np.testing.assert_allclose(supp.support, proj, atol=1e-12)
     np.testing.assert_allclose(supp.pinv_sqrt, np.sqrt(2.0) * proj, atol=1e-12)
 
@@ -216,6 +216,15 @@ def test_eigh_desc_reconstruction(d):
         assert np.linalg.norm((v * w) @ v.conj().T - a) <= 1e-9 * d
         assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-9
         assert np.all(np.diff(w) <= 1e-12)
+
+
+def test_eigh_desc_checks_the_adjoint_gap_against_eps():
+    tol = Tolerances(eps=1e-3)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    w, _ = eigh_desc(np.eye(2) + 0.9e-3 * skew, tol)
+    np.testing.assert_allclose(w, [1.00045, 0.99955], atol=1e-12)
+    with pytest.raises(ValueError, match="matrix is not Hermitian within tolerance"):
+        eigh_desc(np.eye(2) + 1.1e-3 * skew, tol)
 
 
 def test_eigh_desc_deterministic():

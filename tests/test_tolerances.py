@@ -43,7 +43,7 @@ def upper_spectrum(top):
 
 
 def psd_eigh(m):
-    matkit.psd_sqrt(m)
+    matkit.psd_sqrt(matkit.eigh_desc(m))
 
 
 def is_cp(m):
