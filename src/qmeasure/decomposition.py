@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matkit
 from .channels import KrausChannel, apply_map, choi_from_map
 from .errors import PremiseViolatedError
 from .matkit import DEFAULT_TOL, Tolerances
@@ -72,19 +71,19 @@ def verify_premise(b: KrausChannel, f: Effect) -> PremiseReport:
 
     supp, w = f.support, f.spectrum.eigenvalues
     cutoff = f.tol.rank_cutoff(float(w.max()))
-    support_rank = int(np.sum(w > cutoff))
     borderline = tuple(float(x) for x in w if cutoff / 10.0 < x <= cutoff * 10.0)
 
     # Every state has ||rho||_F <= tr rho = 1, and ||A X C||_F <= ||A||_F ||X||_F ||C||_F,
     # so term by term over B's Kraus operators K_i, for every state rho:
     #   ||B(P_ker rho P_ker)||_F <= sum_i ||K_i P_ker||_F^2
     #   ||B(P_sup rho P_ker + P_ker rho P_sup)||_F <= 2 sum_i ||K_i P_sup||_F ||K_i P_ker||_F
-    on_kernel = np.linalg.norm(b.kraus @ supp.kernel, axis=(1, 2))
-    on_support = np.linalg.norm(b.kraus @ supp.support, axis=(1, 2))
+    # With P = V V† for an orthonormal basis V (V† V = I), ||K_i P||_F = ||K_i V||_F.
+    on_kernel = np.linalg.norm(b.kraus @ supp.kernel_basis, axis=(1, 2))
+    on_support = np.linalg.norm(b.kraus @ supp.support_basis, axis=(1, 2))
     kernel_residual = float(np.sum(on_kernel ** 2))
     cross_residual = float(2.0 * np.sum(on_support * on_kernel))
     return PremiseReport(trace_residual, kernel_residual, cross_residual,
-                         support_rank, borderline)
+                         supp.support_basis.shape[1], borderline)
 
 
 def reconstruction_residual(b: KrausChannel, f: Effect, e: KrausChannel,
@@ -124,8 +123,7 @@ def _conditional_channel(b: KrausChannel, f: Effect) -> KrausChannel:
     """E's Kraus set, built as the module docstring describes."""
     supp = f.support
     d, d_out, n = f.dim, b.d_out, len(b.kraus)
-    kernel_w, kernel_v = matkit.eigh_desc(supp.kernel, f.tol)
-    bras = kernel_v[:, kernel_w > 0.5].conj().T  # projector spectrum is {0, 1}
+    bras = supp.kernel_basis.conj().T
     ops = np.zeros((n + len(bras) * d_out, d_out, d), dtype=complex)
     ops[:n] = b.kraus @ supp.pinv_sqrt
     # Kernel operator (idx, a) has row a = bra_idx / sqrt(d_out) and zeros elsewhere.

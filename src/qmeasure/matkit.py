@@ -211,27 +211,23 @@ def psd_sqrt(spectrum: HermitianDecomposition, tol: Tolerances = DEFAULT_TOL) ->
 
 
 class SupportDecomposition(NamedTuple):
-    """Support projector, kernel projector, and sqrt of the support-restricted inverse."""
+    """Orthonormal support and kernel bases (eigenvector columns) and the sqrt of
+    the support-restricted inverse."""
 
-    support: np.ndarray
-    kernel: np.ndarray
+    support_basis: np.ndarray
+    kernel_basis: np.ndarray
     pinv_sqrt: np.ndarray
 
 
 def psd_support(spectrum: HermitianDecomposition,
                 tol: Tolerances = DEFAULT_TOL) -> SupportDecomposition:
-    """Support and kernel sectors of a PSD matrix A, given as its eigh_desc spectrum;
-    pinv_sqrt vanishes on the kernel and pinv_sqrt @ A @ pinv_sqrt is the support projector."""
+    """Support and kernel bases of a PSD matrix A, given as its eigh_desc spectrum;
+    pinv_sqrt vanishes on the kernel and pinv_sqrt @ A @ pinv_sqrt projects onto the support."""
     w, v = spectrum
     mask = _support_mask(w, tol)
     vs = v[:, mask]
-    support = vs @ dagger(vs)
-    kernel = np.eye(w.size, dtype=complex) - support
-    inv_sqrt = np.zeros_like(w)
-    inv_sqrt[mask] = 1.0 / np.sqrt(w[mask])
-    pinv_sqrt = (v * inv_sqrt) @ dagger(v)
-    return SupportDecomposition(hermitian_part(support), hermitian_part(kernel),
-                                hermitian_part(pinv_sqrt))
+    pinv_sqrt = (vs / np.sqrt(w[mask])) @ dagger(vs)
+    return SupportDecomposition(vs, v[:, ~mask], hermitian_part(pinv_sqrt))
 
 
 def polar_decompose(m) -> tuple[np.ndarray, np.ndarray]:

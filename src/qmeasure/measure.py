@@ -61,6 +61,16 @@ def _read_only(parts: tuple) -> tuple:
     return parts
 
 
+def _labels_for(labels, n: int, items: str) -> list[str]:
+    """`labels` as strings ("0" ... when None); ValueError unless there is one per item."""
+    if labels is None:
+        return [str(i) for i in range(n)]
+    labels = [str(label) for label in labels]
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} {items}")
+    return labels
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Labelled effects summing to the identity."""
@@ -84,10 +94,9 @@ class Povm:
 
     @classmethod
     def from_effects(cls, mats, labels=None, tol: Tolerances = DEFAULT_TOL) -> "Povm":
-        if labels is None:
-            labels = [str(i) for i in range(len(mats))]
+        labels = _labels_for(labels, len(mats), "effects")
         built = tuple(
-            (str(label), m if isinstance(m, Effect) else Effect(m, tol))
+            (label, m if isinstance(m, Effect) else Effect(m, tol))
             for label, m in zip(labels, mats))
         return cls(built, tol)
 
@@ -208,10 +217,9 @@ def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrume
     if violation:
         raise ValueError(
             "measurement operators are incomplete: residual %.3e exceeds %.3e" % violation)
-    if labels is None:
-        labels = [str(i) for i in range(len(mats))]
+    labels = _labels_for(labels, len(mats), "measurement operators")
     outs = tuple(
-        (str(label), KrausChannel(m[None], d_in=m.shape[1], d_out=m.shape[0]))
+        (label, KrausChannel(m[None], d_in=m.shape[1], d_out=m.shape[0]))
         for label, m in zip(labels, mats))
     return Instrument(outs, tol)
 
@@ -223,21 +231,18 @@ def from_effect_channel_pairs(pairs, labels=None, tol: Tolerances = DEFAULT_TOL)
     preserving; the induced POVM of the result reproduces the input effects,
     and `Instrument` holds their sum to the identity.
     """
-    forged = []
-    for eff, ch in pairs:
-        effect = eff if isinstance(eff, Effect) else Effect(matkit.require_square(eff), tol)
+    pairs = list(pairs)
+    labels = _labels_for(labels, len(pairs), "(effect, channel) pairs")
+    outs = []
+    for label, (eff, ch) in zip(labels, pairs):
+        effect = eff if isinstance(eff, Effect) else Effect(eff, tol)
         if not isinstance(ch, KrausChannel):
             raise TypeError("outcome channels must be KrausChannel instances")
-        forged.append((effect, ch))
-    if labels is None:
-        labels = [str(i) for i in range(len(forged))]
-    outs = []
-    for label, (effect, ch) in zip(labels, forged):
         if ch.d_in != effect.dim:
             raise ValueError(f"channel input {ch.d_in} does not match effect dimension {effect.dim}")
         if not ch.is_trace_preserving(tol):
             raise ValueError(f"conditional channel for outcome {label!r} is not trace preserving")
-        outs.append((str(label),
+        outs.append((label,
                      KrausChannel(ch.kraus @ effect.root, d_in=effect.dim, d_out=ch.d_out)))
     return Instrument(tuple(outs), tol)
 

@@ -176,24 +176,23 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
     if mismatch > tol.eps:
         raise TargetMismatchError(f"target ensemble misses the reduced state by {mismatch:.3e}")
 
-    supp = matkit.psd_support(matkit.eigh_desc(rho_b.mat, tol), tol)
+    ket = pure_ket(psi.state)
+    u, s, vh = np.linalg.svd(ket.reshape(d_a, d_b))
+    # The Schmidt SVD is the one spectrum of the second marginal,
+    # rho_B = vh^T diag(s^2) conj(vh): the rows vh[rank:] span its kernel.
+    rank = int(np.sum(s ** 2 > tol.rank_cutoff(float(s[0] ** 2))))
+    kernel_rows = vh[rank:]
     for idx, (_, member) in enumerate(target.members):
-        leak = float(np.trace(supp.kernel @ member.mat).real)
+        leak = float(np.trace(kernel_rows.conj() @ member.mat @ kernel_rows.T).real)
         if leak > tol.eps:
             raise UnsupportedMemberError(f"member {idx} leaves the support (leak {leak:.3e})")
 
-    ket = pure_ket(psi.state)
-    coeff = ket.reshape(d_a, d_b)
-    u, s, vh = np.linalg.svd(coeff)
-    lam_max = float((s ** 2).max())
-    rank = int(np.sum(s ** 2 > tol.rank_cutoff(lam_max)))
     alice_basis = u[:, :rank]
-    bob_rows = vh[:rank, :]
+    bras = vh[:rank].conj() / s[:rank, None]  # = vh[:rank].conj() @ rho_B^(-1/2)
 
     effects = []
     for weight, member in target.members:
-        compressed = supp.pinv_sqrt @ (weight * member.mat) @ supp.pinv_sqrt
-        tilde = bob_rows.conj() @ compressed @ bob_rows.T
+        tilde = bras @ (weight * member.mat) @ bras.conj().T
         effects.append(matkit.hermitian_part(alice_basis @ tilde.T @ dagger(alice_basis)))
 
     leftover = np.eye(d_a, dtype=complex) - alice_basis @ dagger(alice_basis)

@@ -97,10 +97,11 @@ def test_premise_bounds_cover_sampled_terms_of_perturbed_map():
         report = verify_premise(b, f)
         assert report.kernel_residual > 1e-13 and report.cross_residual > 1e-8
         supp = matkit.psd_support(matkit.eigh_desc(f.mat, tol), tol=tol)
+        support, kernel = (v @ v.conj().T for v in (supp.support_basis, supp.kernel_basis))
         for _ in range(50):
             rho = harness.random_density(d, rng).mat
-            kern = supp.kernel @ rho @ supp.kernel
-            cross = supp.support @ rho @ supp.kernel + supp.kernel @ rho @ supp.support
+            kern = kernel @ rho @ kernel
+            cross = support @ rho @ kernel + kernel @ rho @ support
             assert np.linalg.norm(apply_map(b, kern)) <= report.kernel_residual
             assert np.linalg.norm(apply_map(b, cross)) <= report.cross_residual
 
@@ -336,12 +337,50 @@ def test_the_lemma_path_takes_each_spectral_split_of_f_once(monkeypatch):
     rng = np.random.default_rng(19)
     f = harness.random_effect(3, rng, zero_eigenvalues=1)
     b = KrausChannel(harness.random_cptp(3, 3, 2, rng).kraus @ f.root, d_in=3, d_out=3)
+    f = Effect(f.mat, f.tol)  # a fresh effect: its split is taken below
+    calls.update(psd_support=0, psd_sqrt=0)
+    decomposed.clear()
     verify_premise(b, f)
     decompose(b, f)
     assert calls == {"psd_support": 1, "psd_sqrt": 1}
-    # one spectrum of F serves the support split, the root and the premise's rank
+    # one spectrum of F serves the support split, its kernel basis, the root and the
+    # premise's rank; nothing else on the lemma path is diagonalised
+    assert len(decomposed) == 1
     assert sum(np.array_equal(a, f.mat) for a in decomposed) == 1
     for array in (f.root, *f.support, *f.spectrum):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def _reference_channel(b: KrausChannel, f: Effect) -> KrausChannel:
+    """E with its kernel block built on the unit-eigenvalue columns of eigh_desc(P_ker),
+    P_ker = I - P_sup taken from F's spectrum: the construction `decompose` used before
+    it read F's own kernel eigenvectors."""
+    w, v = f.spectrum
+    vs = v[:, w > f.tol.rank_cutoff(float(w.max()))]
+    p_ker = matkit.hermitian_part(np.eye(f.dim) - matkit.hermitian_part(vs @ vs.conj().T))
+    kernel_w, kernel_v = matkit.eigh_desc(p_ker, f.tol)
+    bras = kernel_v[:, kernel_w > 0.5].conj().T
+    rows = np.eye(b.d_out)
+    kernel_ops = [np.outer(rows[a], bra) / np.sqrt(b.d_out) for bra in bras for a in range(b.d_out)]
+    return KrausChannel.from_ops([*(b.kraus @ f.support.pinv_sqrt), *kernel_ops])
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_kernel_block_on_the_eigenvectors_of_f_is_the_reference_channel(d):
+    rng = np.random.default_rng(40 + d)
+    f = harness.random_effect(d, rng, zero_eigenvalues=d // 2)
+    b = compose_with_luders(harness.random_cptp(d, 4, 2, rng), f.mat)
+    e = decompose(b, f).channel
+    gap = choi_from_map(e).mat - choi_from_map(_reference_channel(b, f)).mat
+    assert matkit.trace_norm(gap) <= 1e-12
+    # the kernel block alone is rho -> tr(P_ker rho) I / d_out
+    w, v = f.spectrum
+    vk = v[:, w <= f.tol.rank_cutoff(float(w.max()))]
+    assert vk.shape[1] == d // 2
+    block = KrausChannel(e.kraus[len(b.kraus):], d_in=d, d_out=4)
+    rhos = np.stack([harness.random_density(d, rng).mat for _ in range(5)])
+    weights = np.trace(vk.conj().T @ rhos @ vk, axis1=-2, axis2=-1)
+    np.testing.assert_allclose(apply_map(block, rhos),
+                               weights[:, None, None] * np.eye(4) / 4, atol=1e-12)

@@ -158,8 +158,9 @@ def test_psd_sqrt_idempotence_contract():
 
 def test_psd_support_diagonal():
     supp = psd_support(eigh_desc(np.diag([1.0, 0.0])))
-    np.testing.assert_allclose(supp.support, np.diag([1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(supp.kernel, np.diag([0.0, 1.0]), atol=1e-12)
+    support, kernel = (v @ v.conj().T for v in (supp.support_basis, supp.kernel_basis))
+    np.testing.assert_allclose(support, np.diag([1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(kernel, np.diag([0.0, 1.0]), atol=1e-12)
     np.testing.assert_allclose(supp.pinv_sqrt, np.diag([1.0, 0.0]), atol=1e-12)
 
 
@@ -168,9 +169,10 @@ def test_psd_support_full_rank():
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     f = g @ g.conj().T + 0.1 * np.eye(3)
     supp = psd_support(eigh_desc(f))
-    np.testing.assert_allclose(supp.support, np.eye(3), atol=1e-9)
-    np.testing.assert_allclose(supp.kernel, np.zeros((3, 3)), atol=1e-9)
-    np.testing.assert_allclose(supp.pinv_sqrt @ f @ supp.pinv_sqrt, supp.support,
+    support, kernel = (v @ v.conj().T for v in (supp.support_basis, supp.kernel_basis))
+    np.testing.assert_allclose(support, np.eye(3), atol=1e-9)
+    np.testing.assert_allclose(kernel, np.zeros((3, 3)), atol=1e-9)
+    np.testing.assert_allclose(supp.pinv_sqrt @ f @ supp.pinv_sqrt, support,
                                atol=1e-9)
 
 
@@ -179,7 +181,8 @@ def test_psd_support_rank_one():
     proj = np.outer(plus, plus)
     # rank-1 spectral formula: eigenvalue 1/2 with eigenvector |+>
     supp = psd_support(eigh_desc(0.5 * proj))
-    np.testing.assert_allclose(supp.support, proj, atol=1e-12)
+    support = supp.support_basis @ supp.support_basis.conj().T
+    np.testing.assert_allclose(support, proj, atol=1e-12)
     np.testing.assert_allclose(supp.pinv_sqrt, np.sqrt(2.0) * proj, atol=1e-12)
 
 

@@ -82,6 +82,26 @@ def test_labels_are_unique_after_conversion_to_strings():
         Instrument(((1, ch), ("1", ch)))
 
 
+@pytest.mark.parametrize("labels", [["a", "b"], ["a", "b", "c", "d"]])
+def test_povm_from_effects_needs_one_label_per_effect(labels):
+    effects = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))]
+    with pytest.raises(ValueError, match=f"^{len(labels)} labels for 3 effects$"):
+        Povm.from_effects(effects, labels=labels)
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_from_generalized_needs_one_label_per_operator(labels):
+    with pytest.raises(ValueError, match=f"^{len(labels)} labels for 2 measurement operators$"):
+        from_generalized([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], labels=labels)
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_from_effect_channel_pairs_needs_one_label_per_pair(labels):
+    pairs = [(eff, identity_channel(2)) for eff in z_povm().effects]
+    with pytest.raises(ValueError, match=rf"^{len(labels)} labels for 2 \(effect, channel\) pairs$"):
+        from_effect_channel_pairs(pairs, labels=labels)
+
+
 def test_instrument_builds_its_induced_povm_once():
     inst = harness.random_instrument(3, 3, 2, np.random.default_rng(8))
     povm = induced_povm(inst)

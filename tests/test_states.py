@@ -151,6 +151,23 @@ def test_steering_completeness_and_positivity():
             assert np.linalg.eigvalsh(eff.mat).min() >= -1e-9
 
 
+def test_steering_takes_one_spectrum_the_pure_ket_of_the_state(monkeypatch):
+    rng = np.random.default_rng(23)
+    u, v = harness.random_unitary(3, rng), harness.random_unitary(3, rng)
+    coeff = u[:, :2] @ np.diag(np.sqrt([0.7, 0.3])) @ v[:, :2].T  # Schmidt rank 2 of 3
+    psi = BipartiteState.from_vector(coeff.reshape(-1), (3, 3))
+    target = harness.steered_ensemble(psi, harness.random_povm(3, 3, rng))
+    decomposed = []
+    eigh_desc = matkit.eigh_desc
+    monkeypatch.setattr(matkit, "eigh_desc",
+                        lambda a, *rest: decomposed.append(np.array(a)) or eigh_desc(a, *rest))
+    povm = steering_povm(psi, target)
+    assert len(decomposed) == 1 and np.array_equal(decomposed[0], psi.state.mat)
+    for eff, (w, member) in zip(povm.effects, target.members):
+        np.testing.assert_allclose(steered_member(psi, eff.mat, 3), w * member.mat,
+                                   atol=1e-10)
+
+
 def test_steering_target_mismatch():
     psi = BipartiteState.from_vector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
     with pytest.raises(TargetMismatchError):
