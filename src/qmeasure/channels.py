@@ -4,7 +4,7 @@ pullback through a channel."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -88,6 +88,10 @@ class ChoiMatrix:
     d_in: int
     d_out: int
 
+    # Rows vec(K_k) of the Kraus stack `mat` was built from (mat = factor^T conj(factor));
+    # set by choi_from_map alone.
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False)
+
     def __post_init__(self):
         m = matkit.require_square(self.mat)
         if m.shape[0] != self.d_in * self.d_out:
@@ -95,19 +99,28 @@ class ChoiMatrix:
         object.__setattr__(self, "mat", matkit.freeze(m))
 
     @cached_property
-    def _eigenvalues(self) -> np.ndarray:
-        """Spectrum of the Hermitian part, taken once per Choi matrix."""
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending spectrum of the Hermitian part, taken once per Choi matrix.
+
+        From n < d_in*d_out Kraus operators it is the spectrum of their n x n
+        Gram matrix, which shares the Choi matrix's nonzero eigenvalues
+        (Horn & Johnson, Thm 1.3.22), padded with exact zeros.
+        """
+        f, dim = self._factor, self.mat.shape[0]
+        if f is not None and len(f) < dim:
+            gram = np.linalg.eigvalsh(f.conj() @ f.T)
+            return np.sort(np.concatenate([np.zeros(dim - len(f)), gram]))
         return np.linalg.eigvalsh(matkit.hermitian_part(self.mat))
 
     def min_eigenvalue(self) -> float:
-        return float(self._eigenvalues.min())
+        return float(self.eigenvalues.min())
 
     def is_hermitian_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return matkit.is_hermitian(self.mat, tol.eps)
 
     def is_cp(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return (self.is_hermitian_preserving(tol)
-                and tol.spectrum_violation(self._eigenvalues) is None)
+                and tol.spectrum_violation(self.eigenvalues) is None)
 
 
 def _tensor(m) -> np.ndarray:
@@ -173,7 +186,9 @@ def choi_from_map(m) -> ChoiMatrix:
     if isinstance(m, KrausChannel):
         # Row k of `vecs` is vec(K_k) (column-stacked); C = sum_k vec(K_k) vec(K_k)†.
         vecs = m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1)
-        return ChoiMatrix(vecs.T @ vecs.conj(), d_in=m.d_in, d_out=m.d_out)
+        choi = ChoiMatrix(vecs.T @ vecs.conj(), d_in=m.d_in, d_out=m.d_out)
+        object.__setattr__(choi, "_factor", matkit.freeze(vecs))
+        return choi
     if isinstance(m, Superoperator):
         return ChoiMatrix(_reshuffle(m), d_in=m.d_in, d_out=m.d_out)
     raise TypeError(f"not a map form: {type(m).__name__}")

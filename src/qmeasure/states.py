@@ -144,8 +144,12 @@ def purify(rho: DensityOperator) -> BipartiteState:
     """
     w, v = matkit.eigh_desc(rho.mat, rho.tol)
     d = rho.dim
-    # Row k of the (ancilla, system) coefficient matrix is sqrt(w_k) v_k.
-    psi = (v * np.sqrt(np.clip(w, 0.0, None))).T.reshape(-1)
+    # Row k of the (ancilla, system) coefficient matrix is sqrt(w_k) v_k.  As in
+    # psd_sqrt, eigenvalues under the rank cutoff are zeroed: a sqrt would turn
+    # 1e-17 rounding noise into Schmidt weight of order 1e-9 outside rho's
+    # support, which steering_povm's verification then reads as error.
+    w = np.where(matkit._support_mask(w, rho.tol), w, 0.0)
+    psi = (v * np.sqrt(w)).T.reshape(-1)
     psi /= np.linalg.norm(psi)
     return BipartiteState.from_vector(psi, (d, d), rho.tol)
 

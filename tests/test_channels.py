@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qmeasure import harness, matkit
 from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
@@ -7,8 +9,9 @@ from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
                                compose, identity_channel, kraus_from_choi,
                                pullback_povm, superop_from_map,
                                transpose_superoperator, unitary_channel, vec)
+from qmeasure.decomposition import kraus_rank
 from qmeasure.errors import NonPositiveEffectError, NotCPError
-from qmeasure.matkit import Tolerances
+from qmeasure.matkit import DEFAULT_TOL, Tolerances
 from qmeasure.measure import Povm
 
 
@@ -379,6 +382,36 @@ def test_cp_iff_choi_psd():
         ch = harness.random_cptp(2, 2, int(rng.integers(1, 4)), rng)
         assert choi_from_map(ch).is_cp()
     assert not choi_from_map(transpose_superoperator(3)).is_cp()
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), d_in=st.integers(1, 4), d_out=st.integers(1, 4),
+       n=st.integers(1, 20), dependent=st.booleans(), zero=st.booleans(), dual=st.booleans())
+@example(seed=1, d_in=2, d_out=3, n=2, dependent=True, zero=True, dual=False)  # n < d_in*d_out
+@example(seed=2, d_in=3, d_out=2, n=6, dependent=False, zero=False, dual=True)  # n = d_in*d_out
+@example(seed=3, d_in=2, d_out=2, n=5, dependent=True, zero=True, dual=True)  # n > d_in*d_out
+def test_kraus_choi_spectrum_matches_the_dense_one(seed, d_in, d_out, n, dependent, zero, dual):
+    # The Gram-matrix spectrum of a Kraus-built Choi matrix against eigvalsh of the
+    # matrix itself, with dependent operators (K, 2K, iK), an all-zero operator, and
+    # the transposed stacks of `adjoint`.
+    rng = np.random.default_rng(seed)
+    ops = rng.standard_normal((n, d_out, d_in)) + 1j * rng.standard_normal((n, d_out, d_in))
+    if dependent:
+        ops = np.concatenate([ops, 2 * ops[:1], 1j * ops[:1]])
+    if zero:
+        ops = np.concatenate([ops, np.zeros((1, d_out, d_in))])
+    channel = KrausChannel.from_ops(ops)
+    if dual:
+        channel = adjoint(channel)
+    choi = choi_from_map(channel)
+    dense = np.linalg.eigvalsh(choi.mat)
+    eps = DEFAULT_TOL.eps
+    assert choi.eigenvalues.shape == dense.shape
+    assert np.all(np.diff(choi.eigenvalues) >= 0)  # ascending, as eigvalsh returns them
+    assert np.max(np.abs(choi.eigenvalues - dense)) <= eps * max(1.0, float(dense.max()))
+    assert kraus_rank(channel) == int(np.sum(dense > DEFAULT_TOL.rank_cutoff(dense.max())))
+    assert choi.is_cp()
+    assert choi.min_eigenvalue() >= -eps
 
 
 def test_linearity_of_superoperator_form():

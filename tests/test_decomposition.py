@@ -166,24 +166,32 @@ def test_kraus_rank_single_operator():
     assert kraus_rank(KrausChannel.from_ops([m])) == 1
 
 
-def test_kraus_rank_takes_the_spectrum_of_the_choi_matrix_itself(monkeypatch):
-    channel = harness.random_cptp(3, 2, 2, np.random.default_rng(4))
-    choi_calls, spectra = [], []
-    choi, eigvalsh = decomposition.choi_from_map, np.linalg.eigvalsh
+def test_kraus_rank_takes_no_spectrum_larger_than_n_by_n(monkeypatch):
+    rng = np.random.default_rng(4)
+    channels = [(harness.random_cptp(3, 2, 2, rng), 2), (harness.random_cptp(64, 64, 4, rng), 4)]
+    choi_calls, shapes = [], []
+    choi = decomposition.choi_from_map
 
     def counted_choi(m):
-        choi_calls.append(choi(m))
-        return choi_calls[-1]
+        choi_calls.append(m)
+        return choi(m)
 
-    def recorded(a, *args, **kwargs):
-        spectra.append(a)
-        return eigvalsh(a, *args, **kwargs)
+    def recorded(solver):
+        def call(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solver(a, *args, **kwargs)
+        return call
 
     monkeypatch.setattr(decomposition, "choi_from_map", counted_choi)
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
-    assert kraus_rank(channel) == 2
-    assert len(choi_calls) == 1
-    assert len(spectra) == 1 and spectra[0] is choi_calls[0].mat
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    for channel, rank in channels:
+        choi_calls.clear()
+        shapes.clear()
+        assert kraus_rank(channel) == rank
+        assert choi_calls == [channel]
+        n = len(channel.kraus)
+        assert shapes and all(s[-2] <= n and s[-1] <= n for s in shapes)
 
 
 def test_kraus_rank_atom_reset_is_two():

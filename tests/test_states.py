@@ -84,16 +84,31 @@ def test_purify_round_trips_random_states(d):
 
 
 def test_purify_matches_the_schmidt_sum():
-    # psi = sum_k sqrt(w_k) |k> (x) v_k over the descending spectrum, rank-deficient included
+    # psi = sum_k sqrt(w_k) |k> (x) v_k over the descending spectrum, rank-deficient
+    # included, with the eigenvalues under the rank cutoff taken as zero
     rng = np.random.default_rng(44)
+    cutoff = matkit.DEFAULT_TOL.rank_cutoff
     for d in (2, 3, 5):
         for rank in range(1, d + 1):
             rho = harness.random_density(d, rng, rank=rank)
             w, v = matkit.eigh_desc(rho.mat)
-            expected = sum(np.sqrt(max(w[k], 0.0)) * np.kron(np.eye(d)[k], v[:, k])
-                           for k in range(d))
+            expected = sum((np.sqrt(w[k]) if w[k] > cutoff(w.max()) else 0.0)
+                           * np.kron(np.eye(d)[k], v[:, k]) for k in range(d))
             np.testing.assert_array_equal(purify(rho).state.mat,
                                           DensityOperator.from_vector(expected).mat)
+
+
+def test_steering_verifies_on_purifications_of_rank_deficient_states():
+    # A sqrt of the rounding noise in rho's kernel gave a Schmidt coefficient of
+    # order 1e-8 outside its support, and the steering check failed on seeds 5,
+    # 8, 9, 11 and 17.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        psi = purify(harness.random_density(3, rng, rank=2))
+        target = harness.steered_ensemble(psi, harness.random_povm(3, 3, rng))
+        povm = steering_povm(psi, target)
+        for eff, (w, member) in zip(povm.effects, target.members):
+            assert np.max(np.abs(steered_member(psi, eff.mat, 3) - w * member.mat)) <= 1e-9
 
 
 def steered_member(psi, effect_mat, d_b):
