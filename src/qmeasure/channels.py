@@ -89,14 +89,18 @@ class ChoiMatrix:
     d_out: int
 
     # Rows vec(K_k) of the Kraus stack `mat` was built from (mat = factor^T conj(factor));
-    # set by choi_from_map alone.
-    _factor: np.ndarray | None = field(default=None, init=False, repr=False)
+    # passed by choi_from_map alone.
+    _factor: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         m = matkit.require_square(self.mat)
         if m.shape[0] != self.d_in * self.d_out:
             raise ValueError(f"Choi dimension {m.shape[0]} != {self.d_in}*{self.d_out}")
-        object.__setattr__(self, "mat", matkit.freeze(m))
+        # A caller's array is copied.  choi_from_map's product of the factor, which
+        # nothing else references, is kept, so one dense Choi matrix is held, not two.
+        m = matkit.freeze(m) if self._factor is None else m
+        m.setflags(write=False)
+        object.__setattr__(self, "mat", m)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -185,10 +189,8 @@ def choi_from_map(m) -> ChoiMatrix:
         return m
     if isinstance(m, KrausChannel):
         # Row k of `vecs` is vec(K_k) (column-stacked); C = sum_k vec(K_k) vec(K_k)†.
-        vecs = m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1)
-        choi = ChoiMatrix(vecs.T @ vecs.conj(), d_in=m.d_in, d_out=m.d_out)
-        object.__setattr__(choi, "_factor", matkit.freeze(vecs))
-        return choi
+        vecs = matkit.freeze(m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1))
+        return ChoiMatrix(vecs.T @ vecs.conj(), d_in=m.d_in, d_out=m.d_out, _factor=vecs)
     if isinstance(m, Superoperator):
         return ChoiMatrix(_reshuffle(m), d_in=m.d_in, d_out=m.d_out)
     raise TypeError(f"not a map form: {type(m).__name__}")
@@ -206,7 +208,7 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> KrausChanne
     excess = tol.spectrum_violation(w)
     if excess is not None:
         raise NotCPError(f"Choi eigenvalue {-excess:.3e} < 0: map is not CP")
-    keep = w > tol.rank_cutoff(float(w.max()))
+    keep = tol.support(w)
     if not keep.any():
         return KrausChannel(np.zeros((1, c.d_out, c.d_in)), d_in=c.d_in, d_out=c.d_out)
     # Column k of v is vec(K_k / sqrt(w_k)) in the Choi's input (x) output order.

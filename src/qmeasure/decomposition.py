@@ -162,6 +162,4 @@ def kraus_rank(b: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> int:
     # (ChoiMatrix.eigenvalues).  The dense d_in*d_out Choi matrix is still built
     # (5-8 ms at d=32): it keeps the spectrum tied to one ChoiMatrix record, and
     # the decompose-d32 benchmark requires the choi_from_map span to fire.
-    w = choi_from_map(b).eigenvalues
-    cutoff = tol.rank_cutoff(float(w.max()))
-    return int(np.sum(w > cutoff))
+    return int(tol.support(choi_from_map(b).eigenvalues).sum())

@@ -58,7 +58,7 @@ def random_effect(d: int, rng, zero_eigenvalues: int = 0,
     zeros = min(int(zero_eigenvalues), d - 1)
     if zeros > 0:
         vals[rng.choice(d, size=zeros, replace=False)] = 0.0
-    return Effect(matkit.hermitian_part((u * vals) @ dagger(u)), tol)
+    return Effect((u * vals) @ dagger(u), tol)
 
 
 def random_povm(d: int, n_outcomes: int, rng, tol: Tolerances = DEFAULT_TOL) -> Povm:
@@ -70,7 +70,7 @@ def random_povm(d: int, n_outcomes: int, rng, tol: Tolerances = DEFAULT_TOL) -> 
     total = np.sum(parts, axis=0)
     w, v = matkit.eigh_desc(total, tol)
     inv_root = (v * (1.0 / np.sqrt(w))) @ dagger(v)
-    mats = [matkit.hermitian_part(inv_root @ g @ inv_root) for g in parts]
+    mats = [inv_root @ g @ inv_root for g in parts]
     return Povm.from_effects(mats, tol=tol)
 
 
@@ -94,7 +94,7 @@ def steered_ensemble(psi: BipartiteState, alice: Povm,
     members = []
     for _, eff in alice.outcomes:
         joint = matkit.tensor_product(eff.mat, np.eye(d_b)) @ psi.state.mat
-        sub = matkit.hermitian_part(matkit.partial_trace(joint, psi.dims, keep=1))
+        sub = matkit.partial_trace(joint, psi.dims, keep=1)
         prob = float(np.trace(sub).real)
         if prob <= P_FLOOR:
             continue

@@ -30,6 +30,12 @@ class Tolerances:
         """Absolute eigenvalue cutoff for rank decisions, scaled to lam_max."""
         return self.rank_tol_factor * max(float(lam_max), 0.0)
 
+    def support(self, w) -> np.ndarray:
+        """The rank rule, which every rank decision reads: the eigenvalues `w` above
+        the rank cutoff of max(w).  It gates no sign; callers check that where it applies."""
+        w = np.asarray(w)
+        return w > self.rank_cutoff(float(w.max()))
+
     def completeness_residual(self, total) -> float:
         """Spectral norm ||total - I||_2 of a d x d operator meant to be the identity.
 
@@ -60,11 +66,14 @@ class Tolerances:
 
     def hermitian(self, a, what: str) -> np.ndarray:
         """Hermitian part of the square matrix `a`, which must equal its adjoint
-        within eps entrywise; the ValueError otherwise names `what`."""
+        within eps entrywise; the ValueError otherwise names `what`.  The part is
+        a new array that nothing else references, returned read-only."""
         m = require_square(a)
         if not is_hermitian(m, self.eps):
             raise ValueError(f"{what} is not Hermitian within tolerance")
-        return hermitian_part(m)
+        h = hermitian_part(m)
+        h.setflags(write=False)
+        return h
 
 
 DEFAULT_TOL = Tolerances()
@@ -108,7 +117,7 @@ def dagger(a) -> np.ndarray:
 
 
 def freeze(a) -> np.ndarray:
-    """Read-only complex copy, safe to share between immutable values."""
+    """Read-only complex copy, even of a read-only array (a writeable view of it may exist)."""
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
@@ -190,11 +199,11 @@ def partial_trace(m, dims, keep: int) -> np.ndarray:
 
 
 def _support_mask(w: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Which eigenvalues `w` pass the rank cutoff; NotPSDError if one is below -eps."""
+    """`tol.support(w)`, after a NotPSDError if an eigenvalue is below -eps."""
     excess = tol.spectrum_violation(w)
     if excess is not None:
         raise NotPSDError(f"eigenvalue {-excess:.3e} is below -eps = {-tol.eps:.1e}")
-    return w > tol.rank_cutoff(float(w.max()))
+    return tol.support(w)
 
 
 def psd_sqrt(spectrum: HermitianDecomposition, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

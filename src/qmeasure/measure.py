@@ -34,7 +34,7 @@ class Effect:
         if excess is not None:
             raise ValueError(
                 f"effect spectrum leaves [0, 1] by {excess:.3e} (eps = {self.tol.eps:.3e})")
-        object.__setattr__(self, "mat", matkit.freeze(m))
+        object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:

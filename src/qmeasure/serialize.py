@@ -179,17 +179,29 @@ def _require_dims(doc) -> tuple[int, int]:
     return int(value[0]), int(value[1])
 
 
-def _parse_kraus_list(node, d_in: int, d_out: int, what: str, fast: bool) -> list:
+def _shaped_matrix(node, what: str, shape: tuple[int, int], fast: bool) -> np.ndarray:
+    """`node` as a complex matrix of the given shape."""
+    mat = _parse_matrix(node, what, fast)
+    if mat.shape != shape:
+        raise ParseError(f"{what}: shape {mat.shape} does not match {shape}")
+    return mat
+
+
+def _parse_kraus_list(node, shape: tuple[int, int], what: str, fast: bool) -> list:
     if not isinstance(node, list) or not node:
         raise ParseError(f"{what}: expected a non-empty array of Kraus operators")
-    ops = []
-    for idx, raw in enumerate(node):
-        mat = _parse_matrix(raw, f"{what}[{idx}]", fast)
-        if mat.shape != (d_out, d_in):
-            raise ParseError(
-                f"{what}[{idx}]: shape {mat.shape} does not match dims ({d_out}, {d_in})")
-        ops.append(mat)
-    return ops
+    return [_shaped_matrix(raw, f"{what}[{idx}]", shape, fast) for idx, raw in enumerate(node)]
+
+
+def _outcome_entries(data: dict) -> list[dict]:
+    """`data["outcomes"]`, which must be a non-empty array of objects with string labels."""
+    outcomes = data.get("outcomes")
+    if not isinstance(outcomes, list) or not outcomes:
+        raise ParseError("'outcomes' must be a non-empty array")
+    for idx, entry in enumerate(outcomes):
+        if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
+            raise ParseError(f"outcomes[{idx}]: expected an object with a string label")
+    return outcomes
 
 
 def _reject_constant(name: str):
@@ -218,52 +230,30 @@ def parse_text(text: str) -> dict:
 
     if kind == "density":
         dim = _require_dim(doc, "dim")
-        mat = _parse_matrix(data.get("mat"), "mat", fast)
-        if mat.shape != (dim, dim):
-            raise ParseError(f"mat shape {mat.shape} does not match dim {dim}")
-        return {"kind": kind, "mat": mat}
+        return {"kind": kind, "mat": _shaped_matrix(data.get("mat"), "mat", (dim, dim), fast)}
 
     if kind == "povm":
         dim = _require_dim(doc, "dim")
-        outcomes = data.get("outcomes")
-        if not isinstance(outcomes, list) or not outcomes:
-            raise ParseError("'outcomes' must be a non-empty array")
-        labels, mats = [], []
-        for idx, entry in enumerate(outcomes):
-            if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
-                raise ParseError(f"outcomes[{idx}]: expected an object with a string label")
-            mat = _parse_matrix(entry.get("mat"), f"outcomes[{idx}].mat", fast)
-            if mat.shape != (dim, dim):
-                raise ParseError(f"outcomes[{idx}].mat shape {mat.shape} != dim {dim}")
-            labels.append(entry["label"])
-            mats.append(mat)
-        return {"kind": kind, "labels": labels, "mats": mats}
+        outcomes = _outcome_entries(data)
+        mats = [_shaped_matrix(entry.get("mat"), f"outcomes[{idx}].mat", (dim, dim), fast)
+                for idx, entry in enumerate(outcomes)]
+        return {"kind": kind, "labels": [entry["label"] for entry in outcomes], "mats": mats}
 
     if kind == "kraus_channel":
         d_in, d_out = _require_dims(doc)
-        ops = _parse_kraus_list(data.get("kraus"), d_in, d_out, "kraus", fast)
+        ops = _parse_kraus_list(data.get("kraus"), (d_out, d_in), "kraus", fast)
         return {"kind": kind, "d_in": d_in, "d_out": d_out, "kraus": ops}
 
     if kind == "superoperator":
         d_in, d_out = _require_dims(doc)
-        mat = _parse_matrix(data.get("mat"), "mat", fast)
-        if mat.shape != (d_out * d_out, d_in * d_in):
-            raise ParseError(
-                f"mat shape {mat.shape} does not match dims ({d_out * d_out}, {d_in * d_in})")
+        mat = _shaped_matrix(data.get("mat"), "mat", (d_out * d_out, d_in * d_in), fast)
         return {"kind": kind, "d_in": d_in, "d_out": d_out, "mat": mat}
 
     if kind == "instrument":
         d_in, d_out = _require_dims(doc)
-        outcomes = data.get("outcomes")
-        if not isinstance(outcomes, list) or not outcomes:
-            raise ParseError("'outcomes' must be a non-empty array")
-        parsed = []
-        for idx, entry in enumerate(outcomes):
-            if not isinstance(entry, dict) or not isinstance(entry.get("label"), str):
-                raise ParseError(f"outcomes[{idx}]: expected an object with a string label")
-            ops = _parse_kraus_list(entry.get("kraus"), d_in, d_out,
-                                    f"outcomes[{idx}].kraus", fast)
-            parsed.append((entry["label"], ops))
+        parsed = [(entry["label"], _parse_kraus_list(entry.get("kraus"), (d_out, d_in),
+                                                     f"outcomes[{idx}].kraus", fast))
+                  for idx, entry in enumerate(_outcome_entries(data))]
         return {"kind": kind, "d_in": d_in, "d_out": d_out, "outcomes": parsed}
 
     raise ParseError(f"unknown kind {kind!r}")

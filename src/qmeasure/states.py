@@ -42,7 +42,7 @@ class DensityOperator:
         if defect > eps:
             raise ValueError(
                 f"density operator trace differs from 1 by {defect:.3e} (eps = {eps:.3e})")
-        object.__setattr__(self, "mat", matkit.freeze(m))
+        object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
@@ -73,6 +73,8 @@ class Ensemble:
         if len(dims) != 1:
             raise ValueError(f"ensemble members live on different dimensions: {sorted(dims)}")
         weights = np.array([w for w, _ in self.members], dtype=float)
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("ensemble weights must be finite")
         if np.any(weights < -self.tol.eps):
             raise ValueError("ensemble weights must be nonnegative")
         defect = abs(float(weights.sum()) - 1.0)
@@ -148,7 +150,7 @@ def purify(rho: DensityOperator) -> BipartiteState:
     # psd_sqrt, eigenvalues under the rank cutoff are zeroed: a sqrt would turn
     # 1e-17 rounding noise into Schmidt weight of order 1e-9 outside rho's
     # support, which steering_povm's verification then reads as error.
-    w = np.where(matkit._support_mask(w, rho.tol), w, 0.0)
+    w = np.where(rho.tol.support(w), w, 0.0)
     psi = (v * np.sqrt(w)).T.reshape(-1)
     psi /= np.linalg.norm(psi)
     return BipartiteState.from_vector(psi, (d, d), rho.tol)
@@ -169,8 +171,7 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
 
     tol = psi.state.tol
     d_a, d_b = psi.dims
-    if not psi.state.is_pure():
-        raise ValueError("steering needs a pure bipartite state")
+    ket = pure_ket(psi.state)
     if target.dim != d_b:
         raise ValueError(f"target dimension {target.dim} != second factor dimension {d_b}")
 
@@ -180,11 +181,10 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
     if mismatch > tol.eps:
         raise TargetMismatchError(f"target ensemble misses the reduced state by {mismatch:.3e}")
 
-    ket = pure_ket(psi.state)
     u, s, vh = np.linalg.svd(ket.reshape(d_a, d_b))
     # The Schmidt SVD is the one spectrum of the second marginal,
     # rho_B = vh^T diag(s^2) conj(vh): the rows vh[rank:] span its kernel.
-    rank = int(np.sum(s ** 2 > tol.rank_cutoff(float(s[0] ** 2))))
+    rank = int(tol.support(s ** 2).sum())
     kernel_rows = vh[rank:]
     for idx, (_, member) in enumerate(target.members):
         leak = float(np.trace(kernel_rows.conj() @ member.mat @ kernel_rows.T).real)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,32 @@ def test_kraus_array_is_a_read_only_copy():
     ops[0, 0, 0] = 5.0
     assert ch.kraus[0, 0, 0] == 1.0
     assert len(ch.kraus) == 2 and [k.shape for k in ch.kraus] == [(2, 2), (2, 2)]
+
+
+def test_choi_matrix_copies_the_callers_array_even_a_read_only_one():
+    a = np.eye(4, dtype=complex)
+    view = a[:]  # a writeable view taken before the owner is marked read-only
+    a.setflags(write=False)
+    choi = ChoiMatrix(a, d_in=2, d_out=2)
+    view[0, 0] = 7.0
+    b = np.eye(4, dtype=complex)
+    other = ChoiMatrix(b, d_in=2, d_out=2)
+    b[0, 0] = 7.0
+    for c in (choi, other):
+        assert c.mat[0, 0] == 1.0 and not c.mat.flags.writeable
+
+
+def test_choi_of_a_kraus_channel_holds_one_dense_choi_matrix():
+    ch = harness.random_cptp(16, 16, 4, np.random.default_rng(2))
+    dense = 16 * 16 * 16 * 16 * np.dtype(complex).itemsize  # 1 MiB
+    tracemalloc.start()
+    try:
+        choi = choi_from_map(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert choi.mat.nbytes == dense and not choi.mat.flags.writeable
+    assert peak < 1.5 * dense
 
 
 def loop_completeness(ch):

@@ -194,6 +194,15 @@ def test_kraus_rank_takes_no_spectrum_larger_than_n_by_n(monkeypatch):
         assert shapes and all(s[-2] <= n and s[-1] <= n for s in shapes)
 
 
+def test_kraus_rank_gates_no_sign_on_the_rounded_spectrum_of_dependent_operators():
+    rng = np.random.default_rng(1)
+    k = 1e4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    channel = KrausChannel.from_ops([k, 2 * k, 1j * k, k / 3])
+    # rounding leaves an eigenvalue below -eps, which a PSD gate would reject
+    assert choi_from_map(channel).min_eigenvalue() < -Tolerances().eps
+    assert kraus_rank(channel) == 1
+
+
 def test_kraus_rank_atom_reset_is_two():
     inst = harness.atom_demo()
     assert kraus_rank(inst.channel("1")) == 2

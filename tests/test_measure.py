@@ -68,6 +68,14 @@ def test_effect_spectrum_checked():
         Effect(np.diag([0.5, 1.0 + 1.9e-9]))
 
 
+def test_a_write_to_the_input_after_construction_does_not_reach_the_value():
+    a = np.diag([0.75, 0.25]).astype(complex)
+    rho, f = DensityOperator(a), Effect(a)
+    a[0, 0] = 7.0
+    for value in (rho, f):
+        assert value.mat[0, 0] == 0.75 and not value.mat.flags.writeable
+
+
 def test_povm_completeness_checked():
     with pytest.raises(ValueError, match="completeness residual"):
         Povm.from_effects([0.9 * np.diag([1.0, 0.0]), 0.9 * np.diag([0.0, 1.0])])

@@ -7,6 +7,7 @@ import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -158,6 +159,47 @@ def test_to_text_matches_the_recursive_writer_and_round_trips(obj):
     text = serialize.to_text(obj)
     assert text == reference_text(obj)
     assert serialize.to_text(serialize.from_text(text)) == text
+
+
+# The reader: one shape check for every matrix.
+
+MATRIX_2x2 = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+MATRIX_3x3 = [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "density", "dim": 2, "data": {"mat": MATRIX_3x3}},
+     "mat: shape (3, 3) does not match (2, 2)"),
+    ({"kind": "povm", "dim": 2, "data": {"outcomes": [
+        {"label": "a", "mat": MATRIX_2x2}, {"label": "b", "mat": MATRIX_3x3}]}},
+     "outcomes[1].mat: shape (3, 3) does not match (2, 2)"),
+    ({"kind": "kraus_channel", "dims": [2, 2], "data": {"kraus": [MATRIX_3x3]}},
+     "kraus[0]: shape (3, 3) does not match (2, 2)"),
+    ({"kind": "superoperator", "dims": [1, 1], "data": {"mat": MATRIX_2x2}},
+     "mat: shape (2, 2) does not match (1, 1)"),
+    ({"kind": "instrument", "dims": [2, 2], "data": {"outcomes": [
+        {"label": "a", "kraus": [MATRIX_2x2, MATRIX_3x3]}]}},
+     "outcomes[0].kraus[1]: shape (3, 3) does not match (2, 2)"),
+])
+def test_every_shaped_matrix_reports_its_shape_mismatch_alike(doc, message):
+    with pytest.raises(serialize.ParseError) as info:
+        serialize.parse_text(json.dumps(doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, extra", [("povm", {"dim": 2}), ("instrument", {"dims": [2, 2]})])
+@pytest.mark.parametrize("outcomes, message", [
+    (None, "'outcomes' must be a non-empty array"),
+    ([], "'outcomes' must be a non-empty array"),
+    ([{"label": "a", "mat": [], "kraus": []}, {"label": 3}],
+     "outcomes[1]: expected an object with a string label"),
+    (["a"], "outcomes[0]: expected an object with a string label"),
+])
+def test_povm_and_instrument_read_their_outcome_lists_alike(kind, extra, outcomes, message):
+    doc = {"kind": kind, **extra, "data": {} if outcomes is None else {"outcomes": outcomes}}
+    with pytest.raises(serialize.ParseError) as info:
+        serialize.parse_text(json.dumps(doc))
+    assert str(info.value) == message
 
 
 # The reader: the one-conversion path against the per-entry loop alone.

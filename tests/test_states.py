@@ -49,6 +49,12 @@ def test_ensemble_weight_sum_checked():
         Ensemble.of((0.5, KET0), (0.4, KET1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ensemble_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="ensemble weights must be finite"):
+        Ensemble.of((bad, KET0), (1.0, KET1))
+
+
 def test_purify_pure_state():
     psi = purify(DensityOperator(outer(KET0)))
     ket = pure_ket(psi.state)
@@ -181,6 +187,13 @@ def test_steering_takes_one_spectrum_the_pure_ket_of_the_state(monkeypatch):
     for eff, (w, member) in zip(povm.effects, target.members):
         np.testing.assert_allclose(steered_member(psi, eff.mat, 3), w * member.mat,
                                    atol=1e-10)
+
+
+def test_steering_of_a_mixed_state_raises_the_purity_error_first():
+    mixed = BipartiteState((2, 2), DensityOperator(np.eye(4) / 4))
+    wrong_dimension = Ensemble.of((1.0, np.array([1.0, 0.0, 0.0])))
+    with pytest.raises(ValueError, match=r"^state is not pure \(purity 0\.25\)$"):
+        steering_povm(mixed, wrong_dimension)
 
 
 def test_steering_target_mismatch():

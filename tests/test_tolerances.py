@@ -1,8 +1,9 @@
-"""The spectrum rule of `Tolerances` at each site that enforces it.
+"""The spectrum and rank rules of `Tolerances` at each site that enforces them.
 
 Every site decides "the spectrum stays within [0, upper] up to eps" through
-`Tolerances.spectrum_violation`; these tests put one eigenvalue just inside
-and just outside that window and check each site agrees with the rule.
+`Tolerances.spectrum_violation`, and "this eigenvalue counts towards the rank"
+through `Tolerances.support`; these tests put one eigenvalue just inside and
+just outside each edge and check each site agrees with the rule.
 """
 
 import numpy as np
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 from qmeasure import harness, matkit
 from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, kraus_from_choi,
                                pullback_povm, vec)
+from qmeasure.decomposition import kraus_rank, verify_premise
 from qmeasure.errors import NonPositiveEffectError, NotCPError, NotPSDError
 from qmeasure.matkit import DEFAULT_TOL, Tolerances
 from qmeasure.measure import Effect, Povm
-from qmeasure.states import DensityOperator
+from qmeasure.states import DensityOperator, pure_ket, purify
 
 EPS = DEFAULT_TOL.eps
 D = 4  # also a 2 x 2 Choi matrix
@@ -167,3 +169,77 @@ def test_hermitian_rule_is_entrywise_on_the_adjoint_gap():
         tol.hermitian(np.eye(2) + 1.1e-3 * skew, "operator")
     with pytest.raises(ValueError, match="square"):
         tol.hermitian(np.ones((2, 3)), "operator")
+
+
+# The rank rule: one eigenvalue at c times the rank cutoff, the rest well above it.
+
+def rank_spectrum(c):
+    """Unit trace, within [0, 1], lowest eigenvalue c * the rank cutoff of its maximum."""
+    low = c * DEFAULT_TOL.rank_cutoff(0.5)
+    return [0.5, 0.3, 0.2 - low, low]
+
+
+def numerical_rank(values, floor=1e-10):
+    """Count of `values` above a floor far below sqrt(cutoff) and far above rounding."""
+    return int(np.sum(np.abs(values) > floor))
+
+
+def support_count(w, seed):
+    basis = matkit.psd_support(matkit.eigh_desc(spectral_matrix(w, seed))).support_basis
+    return basis.shape[1]
+
+
+def sqrt_count(w, seed):
+    root = matkit.psd_sqrt(matkit.eigh_desc(spectral_matrix(w, seed)))
+    return numerical_rank(np.linalg.eigvalsh(root))
+
+
+def schmidt_count(w, seed):
+    ket = pure_ket(purify(DensityOperator(spectral_matrix(w, seed))).state)
+    return numerical_rank(np.linalg.svd(ket.reshape(D, D), compute_uv=False))
+
+
+def choi_count(w, seed):
+    return len(kraus_from_choi(ChoiMatrix(spectral_matrix(w, seed), d_in=2, d_out=2)).kraus)
+
+
+def kraus_rank_count(w, seed):
+    """Rank of the channel whose Choi matrix is U diag(w) U†: K_k = sqrt(w_k) unvec(u_k)."""
+    u = harness.random_unitary(len(w), np.random.default_rng(seed))
+    vecs = (u * np.sqrt(w)).T  # row k: vec(K_k), column-stacked
+    return kraus_rank(KrausChannel.from_ops(vecs.reshape(-1, 2, 2).transpose(0, 2, 1)))
+
+
+def premise_count(w, seed):
+    root = spectral_matrix(np.sqrt(w), seed)  # same U, so root @ root = F up to rounding
+    f = Effect(spectral_matrix(w, seed))
+    return verify_premise(KrausChannel.from_ops([root]), f).support_rank
+
+
+RANK_SITES = [
+    ("psd_support", support_count),
+    ("psd_sqrt", sqrt_count),
+    ("purify", schmidt_count),
+    ("kraus_from_choi", choi_count),
+    ("kraus_rank", kraus_rank_count),
+    ("verify_premise", premise_count),
+]
+
+# c in units of the rank cutoff, kept 1e-3 away from the edge at c = 1
+RANK_C = st.floats(0.0, 3.0).filter(lambda c: abs(c - 1.0) > 1e-3)
+
+
+@pytest.mark.parametrize("name, count", RANK_SITES, ids=[s[0] for s in RANK_SITES])
+@settings(deadline=None, max_examples=40)
+@given(c=RANK_C, seed=st.integers(0, 2 ** 32 - 1))
+def test_rank_decision_follows_the_rank_rule(name, count, c, seed):
+    w = rank_spectrum(c)
+    assert count(w, seed) == DEFAULT_TOL.support(w).sum() == 3 + (c > 1.0)
+
+
+def test_rank_rule_is_relative_to_the_largest_value_and_gates_no_sign():
+    tol = Tolerances(rank_tol_factor=0.1)
+    np.testing.assert_array_equal(tol.support([2.0, 0.2, 0.21, -5.0]),
+                                  [True, False, True, False])
+    np.testing.assert_array_equal(Tolerances(rank_tol_factor=0.0).support([1.0, 1e-300, 0.0]),
+                                  [True, True, False])
