@@ -64,6 +64,20 @@ class KrausChannel:
         return tol.spectrum_violation(w, upper=1.0) is None
 
 
+def _keep_or_freeze(m: np.ndarray, owned: bool) -> np.ndarray:
+    """`m` made read-only if this module has just built it, else a read-only copy.
+
+    A caller's array is copied, even a read-only one (a writeable view of it may
+    exist).  An array built here is kept, so one dense matrix is held, not two;
+    where a reshape could avoid the copy it is a view of another read-only
+    matrix of this module, which is as safe to share.
+    """
+    if not owned:
+        return matkit.freeze(m)
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class Superoperator:
     """General linear map as a matrix acting on column-stacked operators."""
@@ -72,12 +86,16 @@ class Superoperator:
     d_in: int
     d_out: int
 
+    # True when `mat` is an array this module has just built and nothing else
+    # references; passed by this module alone.
+    _owned: bool = field(default=False, repr=False, kw_only=True)
+
     def __post_init__(self):
         m = matkit.require_matrix(self.mat)
         if m.shape != (self.d_out ** 2, self.d_in ** 2):
             raise ValueError(
                 f"superoperator shape {m.shape} != ({self.d_out ** 2}, {self.d_in ** 2})")
-        object.__setattr__(self, "mat", matkit.freeze(m))
+        object.__setattr__(self, "mat", _keep_or_freeze(m, self._owned))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +106,16 @@ class ChoiMatrix:
     d_in: int
     d_out: int
 
-    # Rows vec(K_k) of the Kraus stack `mat` was built from (mat = factor^T conj(factor));
-    # passed by choi_from_map alone.
+    # Rows vec(K_k) of the Kraus stack `mat` was built from (mat = factor^T conj(factor)),
+    # and whether `mat` is an array choi_from_map has just built; passed by it alone.
     _factor: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    _owned: bool = field(default=False, repr=False, kw_only=True)
 
     def __post_init__(self):
         m = matkit.require_square(self.mat)
         if m.shape[0] != self.d_in * self.d_out:
             raise ValueError(f"Choi dimension {m.shape[0]} != {self.d_in}*{self.d_out}")
-        # A caller's array is copied.  choi_from_map's product of the factor, which
-        # nothing else references, is kept, so one dense Choi matrix is held, not two.
-        m = matkit.freeze(m) if self._factor is None else m
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", _keep_or_freeze(m, self._owned))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -178,8 +193,15 @@ def superop_from_map(m) -> Superoperator:
     """Matrix form of a map given in any representation."""
     if isinstance(m, Superoperator):
         return m
-    if isinstance(m, (KrausChannel, ChoiMatrix)):
-        return Superoperator(_reshuffle(choi_from_map(m)), d_in=m.d_in, d_out=m.d_out)
+    if isinstance(m, KrausChannel):
+        # S4[b, a, j, i] = sum_k conj(K_k[b, j]) K_k[a, i] (see _tensor): one matmul per
+        # (b, a) written straight into the superoperator's layout, with no Choi matrix.
+        ops = m.kraus
+        s4 = ops.conj().transpose(1, 2, 0)[:, None] @ ops.transpose(1, 0, 2)[None]
+        return Superoperator(s4.reshape(m.d_out ** 2, m.d_in ** 2), d_in=m.d_in,
+                             d_out=m.d_out, _owned=True)
+    if isinstance(m, ChoiMatrix):
+        return Superoperator(_reshuffle(m), d_in=m.d_in, d_out=m.d_out, _owned=True)
     raise TypeError(f"not a map form: {type(m).__name__}")
 
 
@@ -190,9 +212,10 @@ def choi_from_map(m) -> ChoiMatrix:
     if isinstance(m, KrausChannel):
         # Row k of `vecs` is vec(K_k) (column-stacked); C = sum_k vec(K_k) vec(K_k)†.
         vecs = matkit.freeze(m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1))
-        return ChoiMatrix(vecs.T @ vecs.conj(), d_in=m.d_in, d_out=m.d_out, _factor=vecs)
+        return ChoiMatrix(vecs.T @ vecs.conj(), d_in=m.d_in, d_out=m.d_out, _factor=vecs,
+                          _owned=True)
     if isinstance(m, Superoperator):
-        return ChoiMatrix(_reshuffle(m), d_in=m.d_in, d_out=m.d_out)
+        return ChoiMatrix(_reshuffle(m), d_in=m.d_in, d_out=m.d_out, _owned=True)
     raise TypeError(f"not a map form: {type(m).__name__}")
 
 
@@ -226,7 +249,7 @@ def compose(f, g):
         ops = (f.kraus[:, None] @ g.kraus[None, :]).reshape(-1, f.d_out, g.d_in)
         return KrausChannel(ops, d_in=g.d_in, d_out=f.d_out)
     sf, sg = superop_from_map(f), superop_from_map(g)
-    return Superoperator(sf.mat @ sg.mat, d_in=g.d_in, d_out=f.d_out)
+    return Superoperator(sf.mat @ sg.mat, d_in=g.d_in, d_out=f.d_out, _owned=True)
 
 
 def adjoint(m):
@@ -235,7 +258,8 @@ def adjoint(m):
         return KrausChannel(m.kraus.conj().transpose(0, 2, 1), d_in=m.d_out, d_out=m.d_in)
     # adjoint(E)(|a><b|)[i, j] = E(|j><i|)[b, a]: reverse all four superoperator indices.
     dual = _tensor(superop_from_map(m)).transpose(3, 2, 1, 0)
-    return Superoperator(dual.reshape(m.d_in ** 2, m.d_out ** 2), d_in=m.d_out, d_out=m.d_in)
+    return Superoperator(dual.reshape(m.d_in ** 2, m.d_out ** 2), d_in=m.d_out, d_out=m.d_in,
+                         _owned=True)
 
 
 def pullback_povm(m, p):

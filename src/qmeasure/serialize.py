@@ -3,16 +3,21 @@ instruments.
 
 Complex scalars are [re, im] pairs, matrices are row-major arrays of rows,
 and floats are printed with 17 significant digits, so write -> read -> write
-round trips are byte identical.  Payloads carry matrices as float arrays,
-which the file writer and `dumps` (the CLI's records) expand to nested lists
-one array at a time, as they write it.  Parsing is split in two: `parse_text`
-only checks syntax and shapes (parse errors), `build` constructs domain
-objects (whose invariant checks may raise ValueError).
+round trips are byte identical.  Payloads carry matrices as float arrays.
+The file writer and `dumps` (the CLI's records) write an array one distinct
+row at a time: each distinct row of its last two axes (a matrix row of
+[re, im] pairs) is encoded once and its text reused wherever the row recurs,
+as the zero rows of a decomposition's kernel operators do.  Their text is the
+same, byte for byte, as that of the array's nested lists.  Parsing is split
+in two: `parse_text` only checks syntax and shapes (parse errors), `build`
+constructs domain objects (whose invariant checks may raise ValueError).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
 import numpy as np
 
@@ -33,41 +38,91 @@ def _fmt(x: float) -> str:
     return f"{v:.17g}"
 
 
-def _emit(node, out: list) -> None:
+def _array_text(a: np.ndarray, row_text, comma: str) -> str:
+    """The text of `a` as nested lists, each distinct row of its last two axes
+    written once by `row_text`; rows are told apart by their bytes, so -0.0
+    and 0.0 stay distinct.  The row texts are joined with `comma` over the
+    leading axes."""
+    if a.ndim <= 2:
+        return row_text(a)
+    lead = a.shape[:-2]
+    rows = a.reshape((math.prod(lead),) + a.shape[-2:])
+    memo: dict = {}
+    texts = []
+    for row in rows:
+        key = row.tobytes()
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = row_text(row)
+        texts.append(text)
+    for depth in range(len(lead), 0, -1):
+        n = lead[depth - 1]
+        texts = ["[" + comma.join(texts[i * n:(i + 1) * n]) + "]"
+                 for i in range(math.prod(lead[:depth - 1]))]
+    return texts[0]
+
+
+def _write(node, out: list, scalar, row_text, comma: str, colon: str) -> None:
+    """Append the JSON text of a payload to `out`: arrays through `_array_text`,
+    other leaves through `scalar`."""
     if isinstance(node, np.ndarray):
-        node = node.tolist()
-    if isinstance(node, dict):
+        out.append(_array_text(node, row_text, comma))
+    elif isinstance(node, dict):
         out.append("{")
         for i, (key, value) in enumerate(node.items()):
+            if not isinstance(key, str):  # json.dumps would turn it into one
+                raise TypeError(f"payload keys must be strings, not {type(key).__name__}")
             if i:
-                out.append(",")
+                out.append(comma)
             out.append(json.dumps(key))
-            out.append(":")
-            _emit(value, out)
+            out.append(colon)
+            _write(value, out, scalar, row_text, comma, colon)
         out.append("}")
     elif isinstance(node, (list, tuple)):
         out.append("[")
         for i, value in enumerate(node):
             if i:
-                out.append(",")
-            _emit(value, out)
+                out.append(comma)
+            _write(value, out, scalar, row_text, comma, colon)
         out.append("]")
-    elif isinstance(node, bool):
-        out.append("true" if node else "false")
-    elif isinstance(node, int):
-        out.append(str(node))
-    elif isinstance(node, float):
-        out.append(_fmt(node))
-    elif isinstance(node, str):
-        out.append(json.dumps(node))
     else:
-        raise TypeError(f"cannot serialize {type(node).__name__}")
+        out.append(scalar(node))
+
+
+def _file_scalar(x) -> str:
+    if isinstance(x, float):
+        return _fmt(x)
+    if isinstance(x, (bool, int, str)):
+        return json.dumps(x)
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+@functools.cache
+def _template(shape: tuple) -> str:
+    """printf template of a float array of this shape, in the file writer's layout."""
+    if not shape:
+        return "%.17g"
+    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
+
+
+def _file_row(row: np.ndarray) -> str:
+    # + 0.0 turns -0.0 into 0.0, as _fmt does.
+    return _template(row.shape) % tuple((row + 0.0).ravel().tolist())
+
+
+def _record_row(row: np.ndarray) -> str:
+    return json.dumps(row.tolist())
+
+
+def _emit(node, out: list) -> None:
+    _write(node, out, _file_scalar, _file_row, ",", ":")
 
 
 def dumps(payload) -> str:
-    """`json.dumps(payload)`, each array leaf written as the nested lists it
-    stands for."""
-    return json.dumps(payload, default=np.ndarray.tolist)
+    """`json.dumps(payload)` of the payload with its arrays as nested lists."""
+    out: list = []
+    _write(payload, out, json.dumps, _record_row, ", ", ": ")
+    return "".join(out)
 
 
 def matrix_payload(m) -> np.ndarray:

@@ -124,6 +124,31 @@ def test_choi_of_a_kraus_channel_holds_one_dense_choi_matrix():
     assert peak < 1.5 * dense
 
 
+def traced_peak(build):
+    """The result of `build()` and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_superoperator_and_choi_conversions_hold_one_dense_result():
+    ch = harness.random_cptp(16, 16, 4, np.random.default_rng(2))
+    dense = 16 * 16 * 16 * 16 * np.dtype(complex).itemsize  # 1 MiB
+    superop, peak = traced_peak(lambda: superop_from_map(ch))
+    assert superop.mat.nbytes == dense and not superop.mat.flags.writeable
+    assert peak < 1.5 * dense
+    choi, peak = traced_peak(lambda: choi_from_map(superop))
+    assert not choi.mat.flags.writeable and peak < 1.5 * dense
+    np.testing.assert_allclose(choi.mat, choi_from_map(ch).mat, rtol=0, atol=1e-15)
+    back, peak = traced_peak(lambda: superop_from_map(choi))
+    assert not back.mat.flags.writeable and peak < 1.5 * dense
+    np.testing.assert_array_equal(back.mat, superop.mat)
+
+
 def loop_completeness(ch):
     return sum(k.conj().T @ k for k in ch.kraus)
 

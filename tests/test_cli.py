@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from qmeasure import decomposition, harness, serialize
 from qmeasure.channels import KrausChannel, superop_from_map, transpose_superoperator
 from qmeasure.cli import main
-from qmeasure.measure import Povm, fuse_sequential, luders_from_povm
+from qmeasure.measure import Instrument, Povm, fuse_sequential, luders_from_povm
 from qmeasure.states import DensityOperator
 
 
@@ -378,6 +379,59 @@ def test_decompose_missing_label_exits_2(tmp_path, capsys):
     path = write(tmp_path / "atom.json", harness.atom_demo())
     assert main(["decompose", path, "zzz"]) == 2
     assert "zzz" in error_record(capsys, 2)["error"]
+
+
+def planted_instrument(d, kernel_dim, kraus_per_outcome, rng):
+    """Two outcomes whose outcome "0" effect F has an exact kernel of dimension
+    `kernel_dim`: operators A_i sqrt(F) and A'_i sqrt(I - F) with {A_i}, {A'_i}
+    random channels, so E's kernel block is kernel_dim * d operators with one
+    nonzero row each."""
+    u = harness.random_unitary(d, rng)
+    lam = rng.uniform(0.1, 0.9, size=d)
+    lam[:kernel_dim] = 0.0
+    roots = [(u * np.sqrt(x)) @ u.conj().T for x in (lam, 1.0 - lam)]
+    return Instrument(tuple(
+        (str(k), KrausChannel.from_ops(harness.random_cptp(d, d, kraus_per_outcome, rng).kraus
+                                       @ root))
+        for k, root in enumerate(roots)))
+
+
+def decompose_record(tmp_path, monkeypatch, capsys):
+    """The payload `decompose` hands to `serialize.dumps` on a d=8 planted
+    instrument (kernel dimension 2, 2 Kraus operators per outcome), and its stdout."""
+    inst = planted_instrument(8, 2, 2, np.random.default_rng(1))
+    path = write(tmp_path / "planted-d8.json", inst)
+    payloads = []
+    dumps = serialize.dumps
+
+    def spy(payload):
+        payloads.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(serialize, "dumps", spy)
+    assert main(["decompose", path, "0"]) == 0
+    (payload,) = payloads
+    assert payload["conditional_kraus"].shape == (2 + 2 * 8, 8, 8, 2)
+    return payload, capsys.readouterr().out
+
+
+def test_decompose_prints_json_dumps_of_its_record(tmp_path, monkeypatch, capsys):
+    payload, out = decompose_record(tmp_path, monkeypatch, capsys)
+    assert out == json.dumps(payload, default=np.ndarray.tolist) + "\n"
+
+
+def test_decompose_record_is_written_without_its_nested_lists(tmp_path, monkeypatch, capsys):
+    """The bound sits between the row writer's peak of about 3x the text and
+    the 14x of a writer that builds the record's nested lists first."""
+    payload, out = decompose_record(tmp_path, monkeypatch, capsys)
+    tracemalloc.start()
+    try:
+        text = serialize.dumps(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text + "\n" == out
+    assert peak < 5 * len(text)
 
 
 def test_decompose_and_demo_check_the_premise_once_per_outcome(tmp_path, monkeypatch):

@@ -36,6 +36,28 @@ def complex_arrays(draw, floats):
     return np.array(values, dtype=np.float64).view(np.complex128).reshape(shape)
 
 
+@st.composite
+def row_stacks(draw, floats, specials: bool):
+    """Complex arrays of shape (k,), (d, d) or (n, d, d) whose rows are drawn
+    from a small pool, so rows repeat: a drawn row, an all-zero row, a zero
+    row with drawn signs, the drawn row with the sign of each zero flipped,
+    and with `specials` a row of NaN and +-Inf."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(d,), (d, d), (n, d, d)]))
+
+    def row(elements):
+        return np.array(draw(st.lists(elements, min_size=2 * d, max_size=2 * d)))
+
+    base = row(st.one_of(floats, st.sampled_from([0.0, -0.0])))
+    pool = [base, np.zeros(2 * d), row(st.sampled_from([0.0, -0.0])),
+            np.where(base == 0, np.copysign(0.0, -np.copysign(1.0, base)), base)]
+    if specials:
+        pool.append(row(st.sampled_from([np.nan, np.inf, -np.inf])))
+    count = int(np.prod(shape[:-1]))
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=count, max_size=count))
+    return np.stack([pool[i] for i in picks]).view(np.complex128).reshape(shape)
+
+
 def as_lists(node):
     """The payload with every array leaf as the nested lists it stands for."""
     if isinstance(node, np.ndarray):
@@ -98,6 +120,37 @@ def test_dumps_is_the_text_of_json_dumps(m, scalar):
                           True, "é\n"],
                "empty": []}
     assert serialize.dumps(payload) == json.dumps(as_lists(payload))
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=row_stacks(ANY_FLOAT, specials=True))
+def test_dumps_writes_repeated_rows_as_json_dumps_does(m):
+    pairs = serialize.matrix_payload(m)
+    payload = {"m": pairs, "again": [pairs, {"rows": pairs[..., ::-1, :]}]}
+    assert serialize.dumps(payload) == json.dumps(as_lists(payload))
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=row_stacks(FINITE, specials=False))
+def test_to_text_writes_repeated_rows_as_the_recursive_writer_does(m):
+    obj = KrausChannel.from_ops(m.reshape((1,) * (3 - m.ndim) + m.shape))
+    assert serialize.to_text(obj) == reference_text(obj)
+
+
+def test_rows_that_differ_only_in_the_sign_of_a_zero_are_written_apart():
+    m = np.array([[0j, 1], [complex(-0.0, 0.0), 1], [0j, 1]])
+    assert serialize.dumps(serialize.matrix_payload(m)) == (
+        "[[[0.0, 0.0], [1.0, 0.0]], [[-0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]")
+    # files write both zeros as 0
+    assert serialize.to_text(KrausChannel.from_ops(m[None])) == (
+        '{"kind":"kraus_channel","dims":[2,3],"data":{"kraus":'
+        '[[[[0,0],[1,0]],[[0,0],[1,0]],[[0,0],[1,0]]]]}}\n')
+
+
+def test_payload_keys_must_be_strings():
+    for key in (1, 1.5, None, ("a",)):
+        with pytest.raises(TypeError, match="payload keys must be strings"):
+            serialize.dumps({"ok": 1, key: 2})
 
 
 def test_dumps_keeps_the_sign_of_zero_and_json_spellings():
