@@ -5,12 +5,14 @@ Machine-readable JSON goes to stdout, human-readable notes to stderr.
 Exit codes: 0 ok, 1 parse or I/O error, 2 invariant/dimension/premise
 failure or a request too large for memory, 3 suite failure.  Every failure
 is reported by `main`, as one stderr line and one JSON record
-{"command", "ok": false, "exit_code", "error"}.
+{"command", "ok": false, "exit_code", "error"}.  A closed stdout is an I/O
+error: the stderr line is then all, and no record is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import decomposition, harness, matkit, serialize
@@ -30,7 +32,7 @@ def _say(msg: str) -> None:
 
 
 def _report(payload: dict) -> None:
-    print(serialize.dumps(payload))
+    print(serialize.dumps(payload), flush=True)
 
 
 def _tolerances(args) -> Tolerances:
@@ -295,8 +297,17 @@ def main(argv=None) -> int:
         code = EXIT_PARSE if isinstance(exc, (serialize.ParseError, OSError)) else EXIT_INVARIANT
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         error = f"{type(exc).__name__}: {detail}"
+        stdout_closed = isinstance(exc, BrokenPipeError)
     _say(f"qmeasure {args.command}: {error}")
-    _report({"command": args.command, "ok": False, "exit_code": code, "error": error})
+    if not stdout_closed:
+        try:
+            _report({"command": args.command, "ok": False, "exit_code": code, "error": error})
+            return code
+        except BrokenPipeError:
+            pass
+    # Stdout's reader has gone: write no record, and point stdout at devnull so
+    # that Python's exit-time flush of what its buffer still holds cannot raise.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

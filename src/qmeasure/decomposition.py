@@ -12,7 +12,7 @@ and callers should compare reconstructions, never the channels themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,13 +40,7 @@ class PremiseReport:
     borderline_eigenvalues: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "trace_residual": self.trace_residual,
-            "kernel_residual": self.kernel_residual,
-            "cross_residual": self.cross_residual,
-            "support_rank": self.support_rank,
-            "borderline_eigenvalues": list(self.borderline_eigenvalues),
-        }
+        return asdict(self)
 
 
 def verify_premise(b: KrausChannel, f: Effect) -> PremiseReport:

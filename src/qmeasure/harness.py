@@ -3,7 +3,7 @@ nonlinearity witnesses, and the fixed demonstration scenarios."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -12,8 +12,8 @@ from .channels import KrausChannel, unitary_channel
 from .decomposition import decompose
 from .errors import MixMismatchError
 from .matkit import DEFAULT_TOL, Tolerances, dagger
-from .measure import (P_FLOOR, Effect, Instrument, Povm, apply_instrument,
-                      branch_state, from_effect_channel_pairs, luders_from_povm)
+from .measure import (P_FLOOR, Effect, Instrument, Povm, apply_instrument, branch,
+                      from_effect_channel_pairs, luders_from_povm)
 from .states import BipartiteState, DensityOperator, Ensemble, mix, purify
 
 
@@ -88,20 +88,13 @@ def random_instrument(d_in: int, n_outcomes: int, kraus_per_outcome: int, rng,
 def steered_ensemble(psi: BipartiteState, alice: Povm,
                      tol: Tolerances = DEFAULT_TOL) -> Ensemble:
     """Bob's conditional ensemble when Alice measures her (first) factor of psi."""
-    d_a, d_b = psi.dims
+    d_a = psi.dims[0]
     if alice.dim != d_a:
         raise ValueError(f"POVM dimension {alice.dim} != first factor dimension {d_a}")
-    members = []
-    for _, eff in alice.outcomes:
-        joint = matkit.tensor_product(eff.mat, np.eye(d_b)) @ psi.state.mat
-        sub = matkit.partial_trace(joint, psi.dims, keep=1)
-        prob = float(np.trace(sub).real)
-        if prob <= P_FLOOR:
-            continue
-        members.append((prob, branch_state(sub, prob, tol)))
+    branches = [branch(psi.steered(eff.mat), tol) for eff in alice.effects]
+    members = [(w, s) for w, s in branches if s is not None]
     total = sum(w for w, _ in members)
-    members = [(w / total, s) for w, s in members]
-    return Ensemble(tuple(members), tol)
+    return Ensemble(tuple((w / total, s) for w, s in members), tol)
 
 
 def nonlinear_square_map(rho: DensityOperator) -> DensityOperator:
@@ -122,9 +115,6 @@ def nonlinear_square_map(rho: DensityOperator) -> DensityOperator:
 class NoSignalingReport:
     residual: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"residual": self.residual, "passed": self.passed}
 
 
 def check_no_signaling(state: BipartiteState, alice: Instrument,
@@ -177,10 +167,6 @@ class EnsembleEquivalenceReport:
     max_difference: float
     witness: dict | None
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"max_difference": self.max_difference, "witness": self.witness,
-                "passed": self.passed}
 
 
 def check_ensemble_equivalence(e1: Ensemble, e2: Ensemble, program,
@@ -363,30 +349,38 @@ class SuiteReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"suite": self.suite, "trials": self.trials, "seed": self.seed,
-                "max_residual": self.max_residual, "witnesses": self.witnesses,
-                "passed": self.passed, "details": self.details}
+        return asdict(self)
+
+
+def _run_trials(suite: str, trials: int, seed: int, details: dict, trial) -> SuiteReport:
+    """Run `trial(i, rng)` for i < trials, rng seeded with seed + i.
+
+    A trial returns its residual and, when it fails, the fields of its
+    witness, which is recorded after the trial index and seed."""
+    max_res = 0.0
+    witnesses = []
+    for i in range(trials):
+        residual, fields = trial(i, np.random.default_rng(seed + i))
+        max_res = max(max_res, residual)
+        if fields is not None:
+            witnesses.append({"trial": i, "seed": seed + i, **fields})
+    return SuiteReport(suite, trials, seed, max_res, witnesses, passed=not witnesses,
+                       details=details)
 
 
 def run_nosignal_suite(trials: int = 200, seed: int = 42, dims=(2, 3),
                        tol: Tolerances = DEFAULT_TOL) -> SuiteReport:
     """Random bipartite states against random local instruments."""
-    max_res = 0.0
-    witnesses = []
-    for i in range(trials):
-        trial_seed = seed + i
-        rng = np.random.default_rng(trial_seed)
+    def trial(i, rng):
         d_a = int(rng.choice(dims))
         d_b = int(rng.choice(dims))
         state = BipartiteState((d_a, d_b), random_density(d_a * d_b, rng, tol=tol))
         inst = random_instrument(d_a, int(rng.integers(2, 4)),
                                  int(rng.integers(1, 3)), rng, tol)
         rep = check_no_signaling(state, inst, tol)
-        max_res = max(max_res, rep.residual)
-        if not rep.passed:
-            witnesses.append({"trial": i, "seed": trial_seed, "residual": rep.residual})
-    return SuiteReport("nosignal", trials, seed, max_res, witnesses,
-                       passed=not witnesses, details={"dims": list(dims)})
+        return rep.residual, None if rep.passed else {"residual": rep.residual}
+
+    return _run_trials("nosignal", trials, seed, {"dims": list(dims)}, trial)
 
 
 def run_linearity_suite(trials: int = 100, seed: int = 7, dims=(2, 3),
@@ -397,11 +391,7 @@ def run_linearity_suite(trials: int = 100, seed: int = 7, dims=(2, 3),
     statistics gap it opens is collected as a witness (trial 0 then uses the
     deterministic coarse-vs-eigen pair so the gap cannot hide).
     """
-    max_res = 0.0
-    witnesses = []
-    for i in range(trials):
-        trial_seed = seed + i
-        rng = np.random.default_rng(trial_seed)
+    def trial(i, rng):
         d = int(rng.choice(dims))
         rho = random_density(d, rng, tol=tol)
         psi = purify(rho)
@@ -415,12 +405,10 @@ def run_linearity_suite(trials: int = 100, seed: int = 7, dims=(2, 3),
             steps = [] if nonlinear is None else [nonlinear]
             program = steps + [random_instrument(d, 2, 1, rng, tol)]
         rep = check_ensemble_equivalence(e1, e2, program, tol=tol)
-        max_res = max(max_res, rep.max_difference)
-        if rep.witness is not None:
-            witnesses.append({"trial": i, "seed": trial_seed, **rep.witness})
-    return SuiteReport("linearity", trials, seed, max_res, witnesses,
-                       passed=not witnesses,
-                       details={"dims": list(dims), "nonlinear": nonlinear is not None})
+        return rep.max_difference, rep.witness
+
+    return _run_trials("linearity", trials, seed,
+                       {"dims": list(dims), "nonlinear": nonlinear is not None}, trial)
 
 
 def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
@@ -428,29 +416,23 @@ def run_lemma_suite(trials: int = 200, seed: int = 5, dims=(2, 3, 4, 5),
     """Random (channel, effect) pairs: reconstruct the conditional evolution
     and collect reconstruction, trace-preservation, and vanishing-term residuals.
     A trial whose decomposition fails its own gates is a witness carrying the error."""
-    max_res = 0.0
-    max_vanish = 0.0
-    witnesses = []
-    for i in range(trials):
-        trial_seed = seed + i
-        rng = np.random.default_rng(trial_seed)
+    details = {"dims": list(dims), "max_vanishing": 0.0}
+
+    def trial(i, rng):
         d = int(rng.choice(dims))
         f = random_effect(d, rng, zero_eigenvalues=int(rng.integers(0, d)), tol=tol)
         e0 = random_cptp(d, d, int(rng.integers(1, d + 1)), rng)
         b = KrausChannel(e0.kraus @ f.root, d_in=d, d_out=d)
-        witness = {"trial": i, "seed": trial_seed, "dim": d}
         try:
             rec = decompose(b, f)
         except ArithmeticError as exc:  # a failed trace or reconstruction gate
-            witnesses.append({**witness, "error": str(exc)})
-            continue
+            return 0.0, {"dim": d, "error": str(exc)}
         recon, tp_res = rec.reconstruction_residual, rec.completeness_residual
         vanish = max(rec.premise.kernel_residual, rec.premise.cross_residual)
-        max_res = max(max_res, recon, tp_res)
-        max_vanish = max(max_vanish, vanish)
-        if recon > tol.eps or tp_res > tol.eps or vanish > tol.eps / 10:
-            witnesses.append({**witness, "reconstruction": recon,
-                              "trace_preservation": tp_res, "vanishing": vanish})
-    return SuiteReport("lemma", trials, seed, max_res, witnesses,
-                       passed=not witnesses,
-                       details={"dims": list(dims), "max_vanishing": max_vanish})
+        details["max_vanishing"] = max(details["max_vanishing"], vanish)
+        failed = recon > tol.eps or tp_res > tol.eps or vanish > tol.eps / 10
+        return max(recon, tp_res), {"dim": d, "reconstruction": recon,
+                                    "trace_preservation": tp_res,
+                                    "vanishing": vanish} if failed else None
+
+    return _run_trials("lemma", trials, seed, details, trial)

@@ -279,19 +279,21 @@ def branch_state(unnormalized, probability: float,
     return DensityOperator(mat / float(np.trace(mat).real), tol)
 
 
+def branch(unnormalized, tol: Tolerances = DEFAULT_TOL) -> tuple[float, DensityOperator | None]:
+    """One branch of an unnormalized output: its trace, clamped into [0, 1], and
+    its normalized state, which is None at or below P_FLOOR."""
+    prob = min(max(float(np.trace(unnormalized).real), 0.0), 1.0)
+    if prob <= P_FLOOR:
+        return prob, None
+    return prob, branch_state(unnormalized, prob, tol)
+
+
 def apply_instrument(inst: Instrument, rho: DensityOperator) -> list[OutcomeResult]:
     """All measurement branches: probability tr(B(rho)) and normalized post-state."""
     if rho.dim != inst.d_in:
         raise ValueError(f"state dimension {rho.dim} != instrument input {inst.d_in}")
-    results = []
-    for label, ch in inst.outcomes:
-        out = apply_map(ch, rho.mat)
-        prob = min(max(float(np.trace(out).real), 0.0), 1.0)
-        if prob <= P_FLOOR:
-            results.append(OutcomeResult(label, prob, None))
-        else:
-            results.append(OutcomeResult(label, prob, branch_state(out, prob, inst.tol)))
-    return results
+    return [OutcomeResult(label, *branch(apply_map(ch, rho.mat), inst.tol))
+            for label, ch in inst.outcomes]
 
 
 def fuse_sequential(first: Instrument, second: Instrument) -> Instrument:

@@ -129,6 +129,12 @@ class BipartiteState:
         return DensityOperator(matkit.partial_trace(self.state.mat, self.dims, keep),
                                self.state.tol)
 
+    def steered(self, f) -> np.ndarray:
+        """tr_1((F (x) I) rho), unnormalized: what the second factor holds when a
+        measurement of the first reads the outcome with effect matrix F."""
+        joint = matkit.tensor_product(f, np.eye(self.dims[1])) @ self.state.mat
+        return matkit.partial_trace(joint, self.dims, keep=1)
+
 
 def pure_ket(rho: DensityOperator) -> np.ndarray:
     """State vector of a pure density operator (phase-fixed)."""
@@ -197,18 +203,15 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
     effects = []
     for weight, member in target.members:
         tilde = bras @ (weight * member.mat) @ bras.conj().T
-        effects.append(matkit.hermitian_part(alice_basis @ tilde.T @ dagger(alice_basis)))
+        effects.append(alice_basis @ tilde.T @ dagger(alice_basis))
 
     leftover = np.eye(d_a, dtype=complex) - alice_basis @ dagger(alice_basis)
     top = max(range(len(target.members)), key=lambda i: target.members[i][0])
-    effects[top] = matkit.hermitian_part(effects[top] + leftover)
+    effects[top] += leftover
 
     povm = Povm.from_effects(effects, tol=tol)
-    psi_mat = psi.state.mat
     for eff, (weight, member) in zip(povm.effects, target.members):
-        steered = matkit.partial_trace(
-            matkit.tensor_product(eff.mat, np.eye(d_b)) @ psi_mat, (d_a, d_b), keep=1)
-        err = float(np.max(np.abs(steered - weight * member.mat)))
+        err = float(np.max(np.abs(psi.steered(eff.mat) - weight * member.mat)))
         if err > tol.eps:
             raise RuntimeError(f"steering construction failed verification ({err:.3e})")
     return povm

@@ -1,12 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qmeasure
 from qmeasure import decomposition, harness, serialize
 from qmeasure.channels import KrausChannel, superop_from_map, transpose_superoperator
 from qmeasure.cli import main
@@ -432,6 +437,41 @@ def test_decompose_record_is_written_without_its_nested_lists(tmp_path, monkeypa
         tracemalloc.stop()
     assert text + "\n" == out
     assert peak < 5 * len(text)
+
+
+
+def closed_stdout_run(*argv):
+    """Run the CLI in a child whose stdout pipe has no reader by the time it
+    writes: the read end is closed before the child has imported numpy."""
+    src = str(Path(qmeasure.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    child = subprocess.Popen([sys.executable, "-m", "qmeasure.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    return child.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("decompose", "qmeasure decompose: BrokenPipeError: [Errno 32] Broken pipe"),
+    ("verify", "qmeasure verify: ParseError: "),
+], ids=["decompose", "verify"])
+def test_a_closed_stdout_ends_in_one_stderr_line_and_exit_1(tmp_path, command, line):
+    """The decompose record, or verify's error record for a malformed file,
+    meets a closed stdout: no traceback, no record, and no exit-time flush error."""
+    if command == "decompose":
+        path = write(tmp_path / "planted-d8.json",
+                     planted_instrument(8, 2, 2, np.random.default_rng(1)))
+        code, err = closed_stdout_run("decompose", path, "0")
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": "state"')
+        code, err = closed_stdout_run("verify", str(path))
+    assert code == 1
+    (only,) = err.splitlines()
+    assert only.startswith(line)
 
 
 def test_decompose_and_demo_check_the_premise_once_per_outcome(tmp_path, monkeypatch):

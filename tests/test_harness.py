@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,3 +269,58 @@ def test_random_generators_are_reproducible():
     b = harness.random_cptp(3, 3, 2, np.random.default_rng(99))
     for k1, k2 in zip(a.kraus, b.kraus):
         np.testing.assert_array_equal(k1, k2)
+
+
+def plant_nosignal_failures(monkeypatch):
+    """Trials whose first factor has dimension 3 fail the check."""
+    check = harness.check_no_signaling
+    monkeypatch.setattr(harness, "check_no_signaling", lambda state, inst, tol: replace(
+        check(state, inst, tol), passed=state.dims[0] != 3))
+
+
+def plant_linearity_failures(monkeypatch):
+    """Trials on dimension 3 return a witness."""
+    check = harness.check_ensemble_equivalence
+
+    def planted(e1, e2, program, tol):
+        report = check(e1, e2, program, tol=tol)
+        return report if e1.dim != 3 else replace(report, witness={"dim": 3}, passed=False)
+
+    monkeypatch.setattr(harness, "check_ensemble_equivalence", planted)
+
+
+def plant_lemma_failures(monkeypatch):
+    """Dimension 3 fails decompose's reconstruction gate (an error witness);
+    dimension 2 passes it above eps (a residual witness)."""
+    residual = decomposition.reconstruction_residual
+    planted = {2: 1.5e-9, 3: 1.0}
+    monkeypatch.setattr(decomposition, "reconstruction_residual",
+                        lambda b, f, e, **kw: planted.get(f.dim) or residual(b, f, e, **kw))
+
+
+@pytest.mark.parametrize("run, plant, dims", [
+    (run_nosignal_suite, plant_nosignal_failures, (2, 3)),
+    (run_linearity_suite, plant_linearity_failures, (2, 3)),
+    (run_lemma_suite, plant_lemma_failures, (2, 3, 4)),
+])
+def test_a_run_of_k_trials_is_the_merge_of_k_one_trial_runs(run, plant, dims, monkeypatch):
+    """Trial i of a run at `seed` is the one trial of a run at seed + i."""
+    plant(monkeypatch)
+    trials, seed = 8, 11
+    full = run(trials=trials, seed=seed, dims=dims)
+    singles = [run(trials=1, seed=seed + i, dims=dims) for i in range(trials)]
+    for i, single in enumerate(singles):
+        assert all(w["trial"] == 0 and w["seed"] == seed + i for w in single.witnesses)
+    assert full.max_residual == max(s.max_residual for s in singles)
+    assert full.witnesses == [{**w, "trial": i}
+                              for i, s in enumerate(singles) for w in s.witnesses]
+    assert 0 < len(full.witnesses) < trials
+    assert full.passed is False
+    assert (full.trials, full.seed) == (trials, seed)
+    if run is run_lemma_suite:
+        assert {"error", "reconstruction"} <= {k for w in full.witnesses for k in w}
+        assert 0.0 < full.details["max_vanishing"] == max(s.details["max_vanishing"]
+                                                          for s in singles)
+    else:
+        assert full.details == singles[0].details
+

@@ -546,3 +546,33 @@ def test_from_effect_channel_pairs_rejects_effects_that_miss_the_identity():
              (np.diag([0.5, 0.5]), identity_channel(2))]
     with pytest.raises(ValueError, match="completeness residual"):
         from_effect_channel_pairs(pairs)
+
+
+def test_branch_cuts_at_the_probability_floor():
+    from qmeasure.measure import P_FLOOR, branch
+    assert branch(np.diag([P_FLOOR, 0.0])) == (P_FLOOR, None)
+    prob, state = branch(np.diag([2 * P_FLOOR, 0.0]))
+    assert prob == 2 * P_FLOOR
+    np.testing.assert_array_equal(state.mat, np.diag([1.0, 0.0]))
+
+
+def test_branch_clamps_its_probability_into_the_unit_interval():
+    from qmeasure.measure import branch
+    out = np.diag([0.5 + 1e-15, 0.5])
+    assert float(np.trace(out).real) > 1.0
+    prob, state = branch(out)
+    assert prob == 1.0
+    np.testing.assert_array_equal(state.mat, out)
+    assert branch(np.diag([-1e-3, 0.0])) == (0.0, None)
+
+
+def test_branch_state_takes_the_hermitian_part_before_dividing():
+    """At p = 1e-8, anti-Hermitian rounding of 2e-17 in the branch output
+    becomes 2e-9 after the division, past eps."""
+    from qmeasure.measure import branch_state
+    p = 1e-8
+    skew = np.array([[0.0, 2e-17], [-2e-17, 0.0]])
+    out = p * outer(PLUS) + skew
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityOperator(out / p)
+    np.testing.assert_allclose(branch_state(out, p).mat, outer(PLUS), atol=1e-15)

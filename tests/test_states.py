@@ -233,3 +233,23 @@ def _ensemble_probs(e, povm):
         for label, p in probabilities(member, povm):
             acc[label] = acc.get(label, 0.0) + w * p
     return acc.items()
+
+
+@pytest.mark.parametrize("d_a", [1, 2, 3])
+@pytest.mark.parametrize("d_b", [1, 2, 3])
+def test_steered_state_matches_an_index_sum(d_a, d_b):
+    """tr_1((F (x) I) rho)[b, c] = sum_{x, y} F[y, x] rho[(x, b), (y, c)]."""
+    rng = np.random.default_rng(10 * d_a + d_b)
+    psi = BipartiteState((d_a, d_b), harness.random_density(d_a * d_b, rng))
+    g = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
+    f = g @ g.conj().T
+    rho = psi.state.mat
+    oracle = np.zeros((d_b, d_b), dtype=complex)
+    for b in range(d_b):
+        for c in range(d_b):
+            oracle[b, c] = sum(f[y, x] * rho[x * d_b + b, y * d_b + c]
+                               for x in range(d_a) for y in range(d_a))
+    steered = psi.steered(f)
+    np.testing.assert_allclose(steered, oracle, atol=1e-13)
+    assert np.trace(steered) == pytest.approx(np.trace(np.kron(f, np.eye(d_b)) @ rho),
+                                              abs=1e-13)
