@@ -88,26 +88,34 @@ def cmd_fuse(args) -> int:
     return EXIT_OK
 
 
+def _outcome_record(inst: Instrument, label: str, tol: Tolerances) -> dict:
+    """Outcome `label` of `inst` split by the lemma: its effect, E's Kraus
+    operators, the premise report, the reconstruction residual and B's Kraus rank."""
+    channel = inst.channel(label)
+    effect = induced_povm(inst).effect(label)
+    rec = decomposition.decompose(channel, effect)
+    return {"label": label,
+            "effect": serialize.matrix_payload(effect.mat),
+            "conditional_kraus": serialize.matrix_payload(rec.kraus),
+            "premise": rec.premise.to_dict(),
+            "reconstruction_residual": rec.reconstruction_residual,
+            "kraus_rank": decomposition.kraus_rank(channel, tol)}
+
+
 def cmd_decompose(args) -> int:
     tol = _tolerances(args)
-    inst = _load(args.instrument, Instrument, tol)
-    channel = inst.channel(args.label)
-    effect = induced_povm(inst).effect(args.label)
-    rec = decomposition.decompose(channel, effect)
-    _report({"command": "decompose", "label": args.label,
-             "effect": serialize.matrix_payload(effect.mat),
-             "conditional_kraus": serialize.matrix_payload(rec.kraus),
-             "premise": rec.premise.to_dict(),
-             "reconstruction_residual": rec.reconstruction_residual,
-             "kraus_rank": decomposition.kraus_rank(channel, tol)})
-    _say(f"outcome {args.label!r}: reconstruction residual {rec.reconstruction_residual:.3e}")
+    record = _outcome_record(_load(args.instrument, Instrument, tol), args.label, tol)
+    _report({"command": "decompose", **record})
+    _say(f"outcome {args.label!r}: reconstruction residual "
+         f"{record['reconstruction_residual']:.3e}")
     return EXIT_OK
 
 
 def cmd_probs(args) -> int:
     tol = _tolerances(args)
-    dist = probabilities(_load(args.state, DensityOperator, tol),
-                         _load(args.povm, Povm, tol))
+    measurement = _load(args.povm, (Povm, Instrument), tol)
+    povm = measurement.povm if isinstance(measurement, Instrument) else measurement
+    dist = probabilities(_load(args.state, DensityOperator, tol), povm)
     _report({"command": "probs",
              "probabilities": [{"label": label, "p": p} for label, p in dist]})
     for label, p in dist:
@@ -209,19 +217,9 @@ def cmd_demo(args) -> int:
         inst = harness.stern_gerlach_demo(tol=tol)
     else:
         inst = harness.atom_demo(tol)
-    povm = induced_povm(inst)
-    outcome_info = []
-    for label, channel in inst.outcomes:
-        effect = povm.effect(label)
-        rec = decomposition.decompose(channel, effect)
-        outcome_info.append({
-            "label": label,
-            "effect": serialize.matrix_payload(effect.mat),
-            "kraus_rank": decomposition.kraus_rank(channel, tol),
-            "reconstruction_residual": rec.reconstruction_residual,
-        })
-    _report({"command": "demo", "which": args.which, "outcomes": outcome_info})
-    for info in outcome_info:
+    outcomes = [_outcome_record(inst, label, tol) for label in inst.labels]
+    _report({"command": "demo", "which": args.which, "outcomes": outcomes})
+    for info in outcomes:
         _say(f"outcome {info['label']}: kraus rank {info['kraus_rank']}, "
              f"reconstruction residual {info['reconstruction_residual']:.3e}")
     return EXIT_OK

@@ -216,35 +216,6 @@ def eigen_ensemble(rho: DensityOperator) -> Ensemble:
     return Ensemble(tuple((wt / total, s) for wt, s in members), rho.tol)
 
 
-def find_nonlinearity_witness(black_box, max_pairs: int = 50, seed: int = 23, d: int = 2,
-                              tol: Tolerances = DEFAULT_TOL) -> dict | None:
-    """Hunt for a steered-decomposition pair whose statistics the black box separates.
-
-    Pair 0 is the coarsest decomposition (Alice measures nothing) against the
-    eigen-decomposition; later pairs come from random Alice POVMs on a
-    purification of a random full-rank state.  Returns the first witness
-    found, or None.
-    """
-    rng = np.random.default_rng(seed)
-    rho = random_density(d, rng, tol=tol)
-    psi = purify(rho)
-    program = [black_box, luders_from_povm(basis_povm(d, tol))]
-
-    def pair(index: int):
-        if index == 0:
-            return Ensemble(((1.0, rho),), tol), eigen_ensemble(rho), "coarse-vs-eigen"
-        e1 = steered_ensemble(psi, random_povm(d, 2, rng, tol), tol)
-        e2 = steered_ensemble(psi, random_povm(d, 2, rng, tol), tol)
-        return e1, e2, f"steered-pair-{index}"
-
-    for index in range(max_pairs):
-        e1, e2, tag = pair(index)
-        report = check_ensemble_equivalence(e1, e2, program, tol=tol)
-        if report.witness is not None:
-            return {"pair_index": index, "tag": tag, "seed": seed, **report.witness}
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Fixed demonstration scenarios
 # ---------------------------------------------------------------------------

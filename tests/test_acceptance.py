@@ -13,8 +13,8 @@ from qmeasure.channels import (KrausChannel, apply_map, choi_from_map,
                                kraus_from_choi, pullback_povm,
                                transpose_superoperator)
 from qmeasure.errors import NotCPError
-from qmeasure.harness import (correlated_env_demo, find_nonlinearity_witness,
-                              nonlinear_square_map, run_nosignal_suite)
+from qmeasure.harness import (correlated_env_demo, nonlinear_square_map,
+                              run_linearity_suite, run_nosignal_suite)
 from qmeasure.decomposition import decompose, kraus_rank, reconstruction_residual
 from qmeasure.measure import (Effect, apply_instrument, fuse_sequential,
                               from_effect_channel_pairs, from_generalized,
@@ -112,10 +112,15 @@ def test_criterion_4_sequential_fusion_identity():
 
 def test_criterion_5_no_signaling_and_nonlinear_witness():
     suite = run_nosignal_suite(trials=200, seed=42, dims=(2, 3))
-    witness = find_nonlinearity_witness(nonlinear_square_map, max_pairs=50, seed=23)
-    ok = suite.passed and suite.max_residual <= 1e-9 and witness is not None
-    detail = (f"200 trials, max residual {suite.max_residual:.2e}; "
-              f"nonlinear witness at pair {witness['pair_index'] if witness else 'none'}")
+    # The witness hunt is the linearity suite that `suite linearity --demo-nonlinear`
+    # runs: 50 pairs at d=2, seed 23, trial 0 the coarse against the eigen-decomposition.
+    linear = run_linearity_suite(trials=50, seed=23, dims=(2,))
+    injected = run_linearity_suite(trials=50, seed=23, dims=(2,), nonlinear=nonlinear_square_map)
+    first = injected.witnesses[0]["trial"] if injected.witnesses else None
+    ok = (suite.passed and suite.max_residual <= 1e-9 and linear.passed
+          and first == 0)
+    detail = (f"200 trials, max residual {suite.max_residual:.2e}; linear control "
+              f"{'passes' if linear.passed else 'fails'}; nonlinear witness at trial {first}")
     report(5, ok, detail)
 
 

@@ -502,6 +502,15 @@ def test_probs_plus_state(tmp_path, capsys):
     assert abs(dist["1"] - 0.5) < 1e-12
 
 
+def test_probs_reads_the_povm_of_an_instrument_file(tmp_path, capsys):
+    inst = planted_instrument(8, 2, 2, np.random.default_rng(1))
+    s = write(tmp_path / "rho.json", harness.random_density(8, np.random.default_rng(2)))
+    assert main(["probs", s, write(tmp_path / "inst.json", inst)]) == 0
+    from_instrument = capsys.readouterr()
+    assert main(["probs", s, write(tmp_path / "povm.json", inst.povm)]) == 0
+    assert capsys.readouterr() == from_instrument
+
+
 def test_probs_dimension_mismatch_exits_2(tmp_path, capsys):
     rng = np.random.default_rng(9)
     s = write(tmp_path / "rho.json", harness.random_density(3, rng))
@@ -597,6 +606,22 @@ def test_demo_stern_gerlach(capsys):
     ranks = {o["label"]: o["kraus_rank"] for o in report["outcomes"]}
     assert ranks == {"+z": 1, "-z": 1}
     assert all(o["reconstruction_residual"] <= 1e-10 for o in report["outcomes"])
+
+
+@pytest.mark.parametrize("which, build", [("atom", harness.atom_demo),
+                                          ("stern-gerlach", harness.stern_gerlach_demo)])
+def test_demo_outcomes_are_the_decompose_records(which, build, tmp_path, capsys):
+    inst = build()
+    path = write(tmp_path / "demo.json", inst)
+    assert main(["demo", which]) == 0
+    outcomes = last_json(capsys)["outcomes"]
+    assert [o["label"] for o in outcomes] == list(inst.labels)
+    for outcome in outcomes:
+        assert main(["decompose", path, "--", outcome["label"]]) == 0  # "--" before "-z"
+        record = last_json(capsys)
+        assert record.pop("command") == "decompose"
+        assert list(outcome) == list(record)
+        assert outcome == record
 
 
 def test_demo_atom(capsys):

@@ -152,6 +152,37 @@ def test_decompose_returns_one_frozen_record_of_the_facts_it_checked():
         rec.channel = identity_channel(3)
 
 
+def test_decompose_takes_the_trace_residual_of_e_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    f = harness.random_effect(3, rng, zero_eigenvalues=1)
+    b = compose_with_luders(harness.random_cptp(3, 3, 2, rng), f.mat)
+    totals = []
+    residual = Tolerances.completeness_residual
+
+    def counted(self, total):
+        totals.append(np.array(total))
+        return residual(self, total)
+
+    monkeypatch.setattr(Tolerances, "completeness_residual", counted)
+    rec = decompose(b, f)
+    (total,) = totals
+    np.testing.assert_array_equal(total, rec.channel.completeness())
+
+
+def test_decompose_gates_trace_preservation_at_eps_times_d(monkeypatch):
+    rng = np.random.default_rng(21)
+    f = harness.random_effect(3, rng, zero_eigenvalues=1)
+    b = compose_with_luders(harness.random_cptp(3, 3, 2, rng), f.mat)
+    build = decomposition._conditional_channel
+    # E scaled by 1.1 has sum E†E = 1.21 I: a residual of 0.21 against 3e-9
+    monkeypatch.setattr(decomposition, "_conditional_channel",
+                        lambda b, f: KrausChannel(1.1 * build(b, f).kraus, d_in=3, d_out=3))
+    with pytest.raises(ArithmeticError) as raised:
+        decompose(b, f)
+    assert str(raised.value) == ("decomposition is not trace preserving: "
+                                 "residual 2.100e-01 exceeds 3.000e-09")
+
+
 def test_decompose_requires_premise():
     rng = np.random.default_rng(7)
     f = harness.random_effect(2, rng)

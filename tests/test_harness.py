@@ -9,10 +9,10 @@ from qmeasure.cli import main
 from qmeasure.errors import MixMismatchError
 from qmeasure.harness import (basis_povm, check_ensemble_equivalence,
                               check_no_signaling, correlated_env_demo,
-                              eigen_ensemble, find_nonlinearity_witness,
-                              joint_distribution, nonlinear_square_map,
-                              run_lemma_suite, run_linearity_suite,
-                              run_nosignal_suite, stern_gerlach_demo)
+                              eigen_ensemble, joint_distribution,
+                              nonlinear_square_map, run_lemma_suite,
+                              run_linearity_suite, run_nosignal_suite,
+                              stern_gerlach_demo)
 from qmeasure.decomposition import decompose, kraus_rank, reconstruction_residual
 from qmeasure.measure import apply_instrument, fuse_sequential, induced_povm, luders_from_povm
 from qmeasure.states import BipartiteState, DensityOperator, Ensemble, mix, purify
@@ -162,12 +162,6 @@ def test_square_map_detected_from_coarse_vs_eigen_pair():
     assert not report.passed
     # oracle: rho^2/tr(rho^2) = diag(0.9, 0.1) vs the untouched eigenmixture diag(0.75, 0.25)
     assert abs(report.max_difference - 0.15) <= 1e-12
-
-
-def test_square_map_witness_found_within_fifty_pairs():
-    witness = find_nonlinearity_witness(nonlinear_square_map, max_pairs=50, seed=23)
-    assert witness is not None
-    assert witness["pair_index"] < 50
 
 
 def test_linearity_suite_clean_and_with_injection():
