@@ -174,12 +174,18 @@ def apply_map(m, rho) -> np.ndarray:
     if r.shape[-1] != m.d_in:
         raise ValueError(f"operand dimension {r.shape[-1]} != map input {m.d_in}")
     if isinstance(m, KrausChannel):
-        # A loop over operators, each applied to the whole stack: at 260 operators
-        # of d=32, batched matmul-and-sum and tensordot are slower, and an
-        # (n, ..., d_out, d_out) intermediate would hold n copies of the output.
+        # A loop over operators, each applied to the whole stack (an (n, ..., d_out,
+        # d_out) batched product would hold n copies of the output) and on its
+        # nonzero rows only: a zero row of K is a zero row and column of K r K†, and
+        # each of the d_out·dim ker operators of E's kernel block (README) has one.
         out = np.zeros(r.shape[:-2] + (m.d_out, m.d_out), dtype=complex)
-        for k in m.kraus:
-            out += k @ r @ dagger(k)
+        for k, live in zip(m.kraus, m.kraus.any(axis=-1).tolist()):
+            if all(live):
+                out += k @ r @ dagger(k)
+            elif any(live):
+                rows = np.flatnonzero(live)
+                part = k[rows]
+                out[..., rows[:, None], rows] += part @ r @ dagger(part)
         return out
     if isinstance(m, Superoperator):
         # Row-wise column-stacked vecs: vecs[..., i + j*d_in] = r[..., i, j].

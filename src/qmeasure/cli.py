@@ -12,6 +12,7 @@ error: the stderr line is then all, and no record is written.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -287,8 +288,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dashed_label_operands(argv: list[str]) -> list[str]:
+    """`argv` with a `decompose` label that begins with '-' (such as the
+    stern-gerlach "-z") read as an operand: the options, then "--", then the
+    operands in their order.  `decompose`'s only single-dash option is -h, so
+    any other word that begins with one '-' is an operand; a word that begins
+    with "--" stays an option, and an unknown one is still a usage error."""
+    if argv[:1] != ["decompose"] or "--" in argv:
+        return argv
+    options, operands = [], []
+    words = iter(argv[1:])
+    for word in words:
+        if word == "-h" or word.startswith("--"):
+            options.append(word)
+            if "=" not in word and any(o.startswith(word) for o in ("--tol", "--rank-tol")):
+                options.extend(itertools.islice(words, 1))  # the option's value
+        else:
+            operands.append(word)
+    if not any(word.startswith("-") for word in operands):
+        return argv
+    return ["decompose", *options, "--", *operands]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_dashed_label_operands(argv))
     try:
         return args.func(args)
     except (OSError, ValueError, ArithmeticError, KeyError, MemoryError) as exc:

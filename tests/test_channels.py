@@ -11,7 +11,7 @@ from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
                                compose, identity_channel, kraus_from_choi,
                                pullback_povm, superop_from_map,
                                transpose_superoperator, unitary_channel, vec)
-from qmeasure.decomposition import kraus_rank
+from qmeasure.decomposition import decompose, kraus_rank
 from qmeasure.errors import NonPositiveEffectError, NotCPError
 from qmeasure.matkit import DEFAULT_TOL, Tolerances
 from qmeasure.measure import Povm
@@ -198,23 +198,45 @@ def test_stacked_kraus_forms_match_per_operator_loops(dims, n):
                                rtol=0, atol=tol)
 
 
+def channel_with_dead_rows(rows, d_in, d_out, rng) -> KrausChannel:
+    """A random channel whose operators have zero rows in the way `rows` names;
+    "decomposed" is E of decompose(b, f) for an effect f with a one-dimensional
+    kernel, whose kernel block is d_out operators with one nonzero row each."""
+    ch = harness.random_cptp(d_in, d_out, 2, rng)
+    if rows == "decomposed":
+        f = harness.random_effect(d_in, rng, zero_eigenvalues=1)
+        return decompose(KrausChannel.from_ops(ch.kraus @ f.root), f).channel
+    ops = ch.kraus.copy()
+    if rows == "one dead row":
+        ops[0, rng.integers(d_out)] = 0
+    elif rows == "one live row per operator":
+        for k in ops:
+            k[np.arange(d_out) != rng.integers(d_out)] = 0
+    elif rows == "zero operator":
+        ops[1] = 0
+    return KrausChannel.from_ops(ops)
+
+
 @pytest.mark.parametrize("stack", [1, 3, 7])
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
 def test_apply_map_on_a_stack_matches_per_matrix_calls(dims, stack):
     d_in, d_out = dims
-    rng = np.random.default_rng(100 * d_in + 10 * d_out + stack)
-    ch = harness.random_cptp(d_in, d_out, 2, rng)
-    # General (non-Hermitian) operands, so no symmetry hides an index mix-up.
-    rhos = rng.standard_normal((stack, d_in, d_in)) + 1j * rng.standard_normal((stack, d_in, d_in))
-    loop = [sum(k @ r @ k.conj().T for k in ch.kraus) for r in rhos]
-    for form in (ch, superop_from_map(ch), choi_from_map(ch)):
-        out = apply_map(form, rhos)
-        assert out.shape == (stack, d_out, d_out)
-        singles = [apply_map(form, r) for r in rhos]
-        np.testing.assert_allclose(out, singles, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12)
-        nested = apply_map(form, rhos.reshape(1, stack, d_in, d_in))
-        np.testing.assert_allclose(nested[0], out, rtol=0, atol=1e-12)
+    for rows in ("dense", "one dead row", "one live row per operator", "zero operator",
+                 "decomposed"):
+        rng = np.random.default_rng(100 * d_in + 10 * d_out + stack)
+        ch = channel_with_dead_rows(rows, d_in, d_out, rng)
+        # General (non-Hermitian) operands, so no symmetry hides an index mix-up.
+        shape = (stack, d_in, d_in)
+        rhos = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        loop = [sum(k @ r @ k.conj().T for k in ch.kraus) for r in rhos]
+        for form in (ch, superop_from_map(ch), choi_from_map(ch)):
+            out = apply_map(form, rhos)
+            assert out.shape == (stack, d_out, d_out)
+            singles = [apply_map(form, r) for r in rhos]
+            np.testing.assert_allclose(out, singles, rtol=0, atol=1e-12, err_msg=rows)
+            np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12, err_msg=rows)
+            nested = apply_map(form, rhos.reshape(1, *shape))
+            np.testing.assert_allclose(nested[0], out, rtol=0, atol=1e-12, err_msg=rows)
 
 
 def test_apply_map_rejects_bad_operands_in_every_form():

@@ -386,6 +386,26 @@ def test_decompose_missing_label_exits_2(tmp_path, capsys):
     assert "zzz" in error_record(capsys, 2)["error"]
 
 
+def test_decompose_reads_a_dashed_label_without_the_separator(tmp_path, capsys):
+    path = write(tmp_path / "sg.json", harness.stern_gerlach_demo())
+    assert main(["decompose", path, "--", "-z"]) == 0
+    expected = capsys.readouterr().out
+    assert json.loads(expected)["label"] == "-z"
+    for argv in ([path, "-z"], ["--tol", "1e-9", path, "-z"], [path, "-z", "--tol", "1e-9"],
+                 [path, "--rank-tol=1e-9", "-z"], [path, "--rank-tol", "1e-9", "-z"]):
+        assert main(["decompose", *argv]) == 0
+        assert capsys.readouterr().out == expected
+    # -h still prints the help, and a word that begins with "--" stays an option.
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", path, "-z", "-h"])
+    assert exc.value.code == 0 and "instrument label" in capsys.readouterr().out
+    for argv, error in (([path, "-z", "--bogus"], "unrecognized arguments: --bogus"),
+                        ([path, "--bogus"], "required: label")):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", *argv])
+        assert exc.value.code == 2 and error in capsys.readouterr().err
+
+
 def planted_instrument(d, kernel_dim, kraus_per_outcome, rng):
     """Two outcomes whose outcome "0" effect F has an exact kernel of dimension
     `kernel_dim`: operators A_i sqrt(F) and A'_i sqrt(I - F) with {A_i}, {A'_i}
