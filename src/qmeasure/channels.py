@@ -19,6 +19,17 @@ def vec(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).T.reshape(-1)
 
 
+def _store_dims(m) -> tuple[int, int]:
+    """`m.d_in` and `m.d_out` stored on the map as Python ints; a dimension that
+    is not a positive integer (3.0 and np.int64(3) are) raises ValueError."""
+    dims = int(m.d_in), int(m.d_out)
+    if dims != (m.d_in, m.d_out) or min(dims) < 1:
+        raise ValueError(f"map dimensions must be positive integers, got {m.d_in!r}, {m.d_out!r}")
+    object.__setattr__(m, "d_in", dims[0])
+    object.__setattr__(m, "d_out", dims[1])
+    return dims
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive map rho -> sum_k K_k rho K_k†.
@@ -32,10 +43,11 @@ class KrausChannel:
     d_out: int
 
     def __post_init__(self):
+        d_in, d_out = _store_dims(self)
         ops = np.array(self.kraus, dtype=complex)
-        if ops.ndim != 3 or ops.shape[0] == 0 or ops.shape[1:] != (self.d_out, self.d_in):
+        if ops.ndim != 3 or ops.shape[0] == 0 or ops.shape[1:] != (d_out, d_in):
             raise ValueError(f"Kraus operators must stack to shape "
-                             f"(n >= 1, {self.d_out}, {self.d_in}), got {ops.shape}")
+                             f"(n >= 1, {d_out}, {d_in}), got {ops.shape}")
         if not np.all(np.isfinite(ops)):
             raise ValueError("Kraus operators contain NaN or Inf entries")
         ops.setflags(write=False)
@@ -91,10 +103,10 @@ class Superoperator:
     _owned: bool = field(default=False, repr=False, kw_only=True)
 
     def __post_init__(self):
+        d_in, d_out = _store_dims(self)
         m = matkit.require_matrix(self.mat)
-        if m.shape != (self.d_out ** 2, self.d_in ** 2):
-            raise ValueError(
-                f"superoperator shape {m.shape} != ({self.d_out ** 2}, {self.d_in ** 2})")
+        if m.shape != (d_out ** 2, d_in ** 2):
+            raise ValueError(f"superoperator shape {m.shape} != ({d_out ** 2}, {d_in ** 2})")
         object.__setattr__(self, "mat", _keep_or_freeze(m, self._owned))
 
 
@@ -112,9 +124,10 @@ class ChoiMatrix:
     _owned: bool = field(default=False, repr=False, kw_only=True)
 
     def __post_init__(self):
+        d_in, d_out = _store_dims(self)
         m = matkit.require_square(self.mat)
-        if m.shape[0] != self.d_in * self.d_out:
-            raise ValueError(f"Choi dimension {m.shape[0]} != {self.d_in}*{self.d_out}")
+        if m.shape[0] != d_in * d_out:
+            raise ValueError(f"Choi dimension {m.shape[0]} != {d_in}*{d_out}")
         object.__setattr__(self, "mat", _keep_or_freeze(m, self._owned))
 
     @cached_property

@@ -2,8 +2,10 @@
 instruments.
 
 Complex scalars are [re, im] pairs, matrices are row-major arrays of rows,
-and floats are printed with 17 significant digits, so write -> read -> write
-round trips are byte identical.  Payloads carry matrices as float arrays.
+and matrix entries are printed with 17 significant digits, so write -> read ->
+write round trips are byte identical.  Payloads carry matrices as float arrays
+and every other value (kind, label, dimension; the maps store theirs as ints)
+as a plain JSON value, which both writers write with `json.dumps`.
 The file writer and `dumps` (the CLI's records) write an array one distinct
 row at a time: each distinct row of its last two axes (a matrix row of
 [re, im] pairs) is encoded once and its text reused wherever the row recurs,
@@ -31,13 +33,6 @@ class ParseError(ValueError):
     """Malformed file: bad JSON, unknown kind, or wrong shapes."""
 
 
-def _fmt(x: float) -> str:
-    v = float(x)
-    if v == 0.0:  # normalize -0.0 so round trips stay byte identical
-        v = 0.0
-    return f"{v:.17g}"
-
-
 def _array_text(a: np.ndarray, row_text, comma: str) -> str:
     """The text of `a` as nested lists, each distinct row of its last two axes
     written once by `row_text`; rows are told apart by their bytes, so -0.0
@@ -62,9 +57,9 @@ def _array_text(a: np.ndarray, row_text, comma: str) -> str:
     return texts[0]
 
 
-def _write(node, out: list, scalar, row_text, comma: str, colon: str) -> None:
+def _write(node, out: list, row_text, comma: str, colon: str) -> None:
     """Append the JSON text of a payload to `out`: arrays through `_array_text`,
-    other leaves through `scalar`."""
+    other leaves through `json.dumps`."""
     if isinstance(node, np.ndarray):
         out.append(_array_text(node, row_text, comma))
     elif isinstance(node, dict):
@@ -76,25 +71,17 @@ def _write(node, out: list, scalar, row_text, comma: str, colon: str) -> None:
                 out.append(comma)
             out.append(json.dumps(key))
             out.append(colon)
-            _write(value, out, scalar, row_text, comma, colon)
+            _write(value, out, row_text, comma, colon)
         out.append("}")
     elif isinstance(node, (list, tuple)):
         out.append("[")
         for i, value in enumerate(node):
             if i:
                 out.append(comma)
-            _write(value, out, scalar, row_text, comma, colon)
+            _write(value, out, row_text, comma, colon)
         out.append("]")
     else:
-        out.append(scalar(node))
-
-
-def _file_scalar(x) -> str:
-    if isinstance(x, float):
-        return _fmt(x)
-    if isinstance(x, (bool, int, str)):
-        return json.dumps(x)
-    raise TypeError(f"cannot serialize {type(x).__name__}")
+        out.append(json.dumps(node))
 
 
 @functools.cache
@@ -106,7 +93,7 @@ def _template(shape: tuple) -> str:
 
 
 def _file_row(row: np.ndarray) -> str:
-    # + 0.0 turns -0.0 into 0.0, as _fmt does.
+    # + 0.0 turns -0.0 into 0.0, so round trips stay byte identical.
     return _template(row.shape) % tuple((row + 0.0).ravel().tolist())
 
 
@@ -114,14 +101,10 @@ def _record_row(row: np.ndarray) -> str:
     return json.dumps(row.tolist())
 
 
-def _emit(node, out: list) -> None:
-    _write(node, out, _file_scalar, _file_row, ",", ":")
-
-
 def dumps(payload) -> str:
     """`json.dumps(payload)` of the payload with its arrays as nested lists."""
     out: list = []
-    _write(payload, out, json.dumps, _record_row, ", ", ": ")
+    _write(payload, out, _record_row, ", ", ": ")
     return "".join(out)
 
 
@@ -159,7 +142,7 @@ def to_payload(obj) -> dict:
 
 def to_text(obj) -> str:
     out: list = []
-    _emit(to_payload(obj), out)
+    _write(to_payload(obj), out, _file_row, ",", ":")
     return "".join(out) + "\n"
 
 
@@ -183,39 +166,39 @@ def _matrix_at_once(node) -> np.ndarray | None:
     return mat if np.all(np.isfinite(mat)) else None
 
 
-def _parse_matrix(node, what: str, fast: bool) -> np.ndarray:
-    """`node` as a complex matrix.  With `fast`, a well-formed node takes one
-    numpy conversion; anything else goes through the loop, which alone words
-    the ParseError."""
-    if fast and isinstance(node, list):
-        mat = _matrix_at_once(node)
-        if mat is not None:
-            return mat
-    if not isinstance(node, list) or not node:
-        raise ParseError(f"{what}: expected a non-empty array of rows")
-    width = None
-    rows = []
-    for row in node:
-        if not isinstance(row, list) or not row:
-            raise ParseError(f"{what}: rows must be non-empty arrays")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{what}: ragged matrix rows")
-        entries = []
-        for cell in row:
-            ok = (isinstance(cell, list) and len(cell) == 2 and
-                  all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell))
-            if not ok:
-                raise ParseError(f"{what}: complex entries must be [re, im] number pairs")
-            try:
-                entries.append(complex(float(cell[0]), float(cell[1])))
-            except OverflowError:  # an integer literal beyond the float range
-                raise ParseError(f"{what}: number literal is not a finite float") from None
-        rows.append(entries)
-    mat = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(mat)):  # a float literal such as 1e400 reads as inf
-        raise ParseError(f"{what}: number literal is not a finite float")
+def _shaped_matrix(node, what: str, shape: tuple[int, int], fast: bool) -> np.ndarray:
+    """`node` as a complex matrix of the given shape.  With `fast`, a well-formed
+    node takes one numpy conversion; anything else goes through the loop, which
+    alone words the ParseError."""
+    mat = _matrix_at_once(node) if fast and isinstance(node, list) else None
+    if mat is None:
+        if not isinstance(node, list) or not node:
+            raise ParseError(f"{what}: expected a non-empty array of rows")
+        width = None
+        rows = []
+        for row in node:
+            if not isinstance(row, list) or not row:
+                raise ParseError(f"{what}: rows must be non-empty arrays")
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ParseError(f"{what}: ragged matrix rows")
+            entries = []
+            for cell in row:
+                ok = (isinstance(cell, list) and len(cell) == 2 and
+                      all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in cell))
+                if not ok:
+                    raise ParseError(f"{what}: complex entries must be [re, im] number pairs")
+                try:
+                    entries.append(complex(float(cell[0]), float(cell[1])))
+                except OverflowError:  # an integer literal beyond the float range
+                    raise ParseError(f"{what}: number literal is not a finite float") from None
+            rows.append(entries)
+        mat = np.array(rows, dtype=complex)
+        if not np.all(np.isfinite(mat)):  # a float literal such as 1e400 reads as inf
+            raise ParseError(f"{what}: number literal is not a finite float")
+    if mat.shape != shape:
+        raise ParseError(f"{what}: shape {mat.shape} does not match {shape}")
     return mat
 
 
@@ -232,14 +215,6 @@ def _require_dims(doc) -> tuple[int, int]:
             any(not isinstance(d, int) or isinstance(d, bool) or d < 1 for d in value)):
         raise ParseError("'dims' must be a pair of positive integers")
     return int(value[0]), int(value[1])
-
-
-def _shaped_matrix(node, what: str, shape: tuple[int, int], fast: bool) -> np.ndarray:
-    """`node` as a complex matrix of the given shape."""
-    mat = _parse_matrix(node, what, fast)
-    if mat.shape != shape:
-        raise ParseError(f"{what}: shape {mat.shape} does not match {shape}")
-    return mat
 
 
 def _parse_kraus_list(node, shape: tuple[int, int], what: str, fast: bool) -> list:

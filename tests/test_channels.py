@@ -86,6 +86,39 @@ def test_kraus_constructor_rejects_malformed_stacks():
         KrausChannel((eye, bad), d_in=2, d_out=2)
 
 
+
+@pytest.mark.parametrize("cast", [np.int64, float], ids=["int64", "float"])
+def test_map_forms_store_their_dimensions_as_ints(cast):
+    rng = np.random.default_rng(31)
+    ch = harness.random_cptp(2, 3, 2, rng)
+    d_in, d_out = cast(2), cast(3)
+    forms = [KrausChannel(ch.kraus, d_in=d_in, d_out=d_out),
+             Superoperator(superop_from_map(ch).mat, d_in=d_in, d_out=d_out),
+             ChoiMatrix(choi_from_map(ch).mat, d_in=d_in, d_out=d_out)]
+    rho = harness.random_density(2, rng).mat
+    povm = harness.random_povm(3, 3, rng)
+    for m in forms:
+        assert (type(m.d_in), type(m.d_out)) == (int, int) and (m.d_in, m.d_out) == (2, 3)
+        np.testing.assert_allclose(apply_map(m, rho), apply_map(ch, rho), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(superop_from_map(m).mat, superop_from_map(ch).mat,
+                                   rtol=0, atol=1e-12)
+        for (_, pulled), (_, ref) in zip(pullback_povm(m, povm).outcomes,
+                                         pullback_povm(ch, povm).outcomes):
+            np.testing.assert_allclose(pulled.mat, ref.mat, rtol=0, atol=1e-12)
+
+
+def test_map_forms_reject_dimensions_that_are_not_positive_integers():
+    """A Choi matrix of size 6 once passed as d_in = 1.5, d_out = 4, or as
+    d_in = -2, d_out = -3, since only the product was checked."""
+    for build in (lambda: ChoiMatrix(np.eye(6), d_in=1.5, d_out=4),
+                  lambda: ChoiMatrix(np.eye(6), d_in=-2, d_out=-3),
+                  lambda: Superoperator(np.eye(9), d_in=-3, d_out=-3),
+                  lambda: KrausChannel(np.zeros((1, 2, 2)), d_in=2.5, d_out=2),
+                  lambda: KrausChannel(np.zeros((1, 2, 2)), d_in="2", d_out=2)):
+        with pytest.raises(ValueError, match="map dimensions must be positive integers"):
+            build()
+
+
 def test_kraus_array_is_a_read_only_copy():
     ops = np.stack([np.eye(2), np.diag([1.0, 0.0])]).astype(complex)
     ch = KrausChannel(ops, d_in=2, d_out=2)
@@ -261,6 +294,18 @@ def test_kraus_from_choi_rejects_transpose():
         kraus_from_choi(choi_from_map(transpose_superoperator(2)))
 
 
+
+def test_kraus_from_choi_rejects_a_non_hermitian_choi_matrix():
+    c = ChoiMatrix(np.triu(np.ones((4, 4))), d_in=2, d_out=2)
+    with pytest.raises(NotCPError, match="Choi matrix is not Hermitian: map is not CP"):
+        kraus_from_choi(c)
+
+
+def test_kraus_from_choi_of_the_zero_map_is_one_zero_operator():
+    ch = kraus_from_choi(ChoiMatrix(np.zeros((6, 6)), d_in=2, d_out=3))
+    assert ch.kraus.shape == (1, 3, 2) and not ch.kraus.any()
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
 def test_choi_kraus_round_trip(dims):
     d_in, d_out = dims
@@ -338,6 +383,25 @@ def test_compose_matches_superoperator_product():
         rhs = apply_map(product, rho)
         assert np.max(np.abs(lhs - mid)) <= 1e-10
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+
+MAP_FORMS = {"kraus": lambda m: m, "superop": superop_from_map, "choi": choi_from_map}
+
+
+@pytest.mark.parametrize("outer, inner", [("superop", "kraus"), ("kraus", "choi"),
+                                          ("choi", "superop")])
+def test_compose_with_a_matrix_form_matches_the_kraus_composite(outer, inner):
+    rng = np.random.default_rng(29)
+    g = harness.random_cptp(2, 3, 2, rng)
+    f = harness.random_cptp(3, 4, 2, rng)
+    fused = compose(MAP_FORMS[outer](f), MAP_FORMS[inner](g))
+    assert isinstance(fused, Superoperator) and (fused.d_in, fused.d_out) == (2, 4)
+    kraus = compose(f, g)
+    for _ in range(10):
+        rho = harness.random_density(2, rng).mat
+        np.testing.assert_allclose(apply_map(fused, rho), apply_map(kraus, rho),
+                                   rtol=0, atol=1e-12)
 
 
 def test_compose_associative():

@@ -223,6 +223,15 @@ def test_verify_takes_the_choi_spectrum_once(tmp_path, capsys, monkeypatch):
     assert shapes == [(9, 9)]
 
 
+
+def test_verify_random_kraus_channel_flags_a_cptp_map(tmp_path, capsys):
+    ch = harness.random_cptp(8, 8, 3, np.random.default_rng(1))
+    assert main(["verify", write(tmp_path / "channel-d8.json", ch)]) == 0
+    report = last_json(capsys)
+    assert report["ok"] and report["kind"] == "kraus_channel"
+    assert report["flags"] == {"cp": True, "trace_preserving": True, "trace_nonincreasing": True}
+
+
 def test_verify_density(tmp_path):
     assert main(["verify", write(tmp_path / "rho.json", plus_state())]) == 0
 

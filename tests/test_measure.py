@@ -541,6 +541,19 @@ def test_branch_state_leaves_eigenvalues_the_state_accepts():
     np.testing.assert_array_equal(state.mat, np.diag([1.0 - low, low]))
 
 
+
+def test_branch_state_clips_roundoff_that_a_small_probability_amplifies():
+    """At p = 1e-11 an output eigenvalue of -2e-20 becomes -2e-9 after the
+    division: past eps, but within the amplified roundoff 100 ulp / p, so it is
+    clipped to zero and the state renormalized.  The same -2e-9 at p = 0.5 is
+    genuine and still raises."""
+    from qmeasure.measure import branch_state
+    state = branch_state(np.diag([1e-11, -2e-20]), 1e-11)
+    np.testing.assert_array_equal(state.mat, np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="density operator has negative eigenvalue -2.000e-09"):
+        branch_state(np.diag([0.5, -1e-9]), 0.5)
+
+
 def test_from_effect_channel_pairs_rejects_effects_that_miss_the_identity():
     pairs = [(np.diag([0.6, 0.55]), identity_channel(2)),
              (np.diag([0.5, 0.5]), identity_channel(2))]

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmeasure import serialize
-from qmeasure.channels import (KrausChannel, Superoperator, adjoint, choi_from_map,
-                               kraus_from_choi)
+from qmeasure import harness, serialize
+from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
+                               choi_from_map, kraus_from_choi, superop_from_map)
+from qmeasure.measure import Instrument
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1e16, -1e16, 1e15, 9007199254740993.0,
@@ -194,6 +195,24 @@ def test_channels_with_transposed_kraus_stacks_round_trip():
         assert serialize.to_text(back) == text
         payload = serialize.to_payload(obj)
         assert serialize.dumps(payload) == json.dumps(as_lists(payload))
+
+
+
+@pytest.mark.parametrize("cast", [np.int64, float], ids=["int64", "float"])
+def test_maps_built_with_numpy_or_float_dimensions_write_int_dims(cast):
+    ch = harness.random_cptp(2, 3, 2, np.random.default_rng(33))
+    d_in, d_out = cast(2), cast(3)
+    kraus = KrausChannel(ch.kraus, d_in=d_in, d_out=d_out)
+    choi = ChoiMatrix(choi_from_map(ch).mat, d_in=d_in, d_out=d_out)
+    cases = [(kraus, ch),
+             (Superoperator(superop_from_map(ch).mat, d_in=d_in, d_out=d_out),
+              superop_from_map(ch)),
+             (superop_from_map(choi), superop_from_map(choi_from_map(ch))),
+             (Instrument((("a", kraus),)), Instrument((("a", ch),)))]
+    for obj, built_with_ints in cases:
+        text = serialize.to_text(obj)
+        assert text == serialize.to_text(built_with_ints) and '"dims":[2,3]' in text
+        assert serialize.to_text(serialize.from_text(text)) == text
 
 
 def file_objects():
