@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,14 +21,54 @@ def vec(m) -> np.ndarray:
 
 
 def _store_dims(m) -> tuple[int, int]:
-    """`m.d_in` and `m.d_out` stored on the map as Python ints; a dimension that
-    is not a positive integer (3.0 and np.int64(3) are) raises ValueError."""
-    dims = int(m.d_in), int(m.d_out)
-    if dims != (m.d_in, m.d_out) or min(dims) < 1:
-        raise ValueError(f"map dimensions must be positive integers, got {m.d_in!r}, {m.d_out!r}")
+    """`m.d_in` and `m.d_out` stored on the map as Python ints (matkit.positive_ints)."""
+    dims = matkit.positive_ints((m.d_in, m.d_out), "map dimensions")
     object.__setattr__(m, "d_in", dims[0])
     object.__setattr__(m, "d_out", dims[1])
     return dims
+
+
+class _RowSplit(NamedTuple):
+    """A Kraus stack grouped by its operators' live (nonzero) rows.
+
+    `dense` holds the operators whose every row is live.  An operator with one
+    live row v at row a (and d_out > 1) is |a><v|; each distinct such v is
+    stored once, as a row of `rows`, and spread[j, a] counts the operators
+    |a><rows[j]|.  `partial` holds each remaining operator with dead rows as its
+    live-row indices and those rows; an all-zero operator is dropped.
+    """
+
+    dense: np.ndarray
+    rows: np.ndarray
+    spread: np.ndarray
+    partial: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+def _split_rows(ops: np.ndarray) -> _RowSplit:
+    """The _RowSplit of a read-only (n, d_out, d_in) Kraus stack."""
+    _, d_out, d_in = ops.shape
+    live = ops.any(axis=-1)
+    if live.all():
+        return _RowSplit(ops, np.zeros((0, d_in), complex), np.zeros((0, d_out), complex), ())
+    # One pass over the operators: a numpy call per group costs more than the
+    # loop on the few operators of most channels.
+    dense, slot, which, at, partial = [], {}, [], [], []
+    for k, mask in enumerate(live.tolist()):
+        n_live = mask.count(True)
+        if n_live == d_out:  # every nonzero operator when d_out = 1
+            dense.append(k)
+        elif n_live == 1:
+            a = mask.index(True)
+            which.append(slot.setdefault(ops[k, a].tobytes(), len(slot)))
+            at.append(a)
+        elif n_live:
+            rows = np.flatnonzero(mask)
+            partial.append((rows, ops[k, rows]))
+    # The keys of `slot` are the distinct rows' bytes, in order of first appearance.
+    rows = np.frombuffer(b"".join(slot), dtype=complex).reshape(-1, d_in)
+    spread = np.zeros((len(slot), d_out), complex)
+    np.add.at(spread, (which, at), 1.0)
+    return _RowSplit(ops[dense], rows, spread, tuple(partial))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,12 +102,26 @@ class KrausChannel:
             raise ValueError(f"expected a non-empty stack of matrices, got shape {arr.shape}")
         return cls(arr, d_in=arr.shape[2], d_out=arr.shape[1])
 
+    @cached_property
+    def _row_split(self) -> _RowSplit:
+        """The operators grouped by their live rows, taken once per channel."""
+        return _split_rows(self.kraus)
+
     def completeness(self) -> np.ndarray:
         """Sum of K† K; equals the identity for trace-preserving channels."""
-        # Summed product by product rather than as one V†V of the Stinespring
-        # stack: that single product rounds differently (by ~1e-16), which is
-        # enough to rotate the basis `decompose` picks for a degenerate kernel.
-        return (self.kraus.conj().transpose(0, 2, 1) @ self.kraus).sum(axis=0)
+        # The dense operators are summed product by product rather than as one V†V
+        # of the Stinespring stack: that single product rounds differently (by
+        # ~1e-16), which is enough to rotate the basis `decompose` picks for a
+        # degenerate kernel.  The live rows of the other operators are one V†V,
+        # each distinct one-row bra weighted by the operators that share it.
+        split = self._row_split
+        total = (split.dense.conj().transpose(0, 2, 1) @ split.dense).sum(axis=0)
+        if len(split.rows) or split.partial:
+            live = np.concatenate([split.rows, *(part for _, part in split.partial)])
+            weight = np.concatenate([split.spread.real.sum(axis=1),
+                                     np.ones(len(live) - len(split.rows))])
+            total += (live.conj().T * weight) @ live
+        return total
 
     def is_trace_preserving(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         return tol.is_complete(self.completeness())
@@ -187,18 +242,23 @@ def apply_map(m, rho) -> np.ndarray:
     if r.shape[-1] != m.d_in:
         raise ValueError(f"operand dimension {r.shape[-1]} != map input {m.d_in}")
     if isinstance(m, KrausChannel):
-        # A loop over operators, each applied to the whole stack (an (n, ..., d_out,
-        # d_out) batched product would hold n copies of the output) and on its
-        # nonzero rows only: a zero row of K is a zero row and column of K r K†, and
-        # each of the d_out·dim ker operators of E's kernel block (README) has one.
+        # Each operator acts on its live rows only (KrausChannel._row_split): a zero
+        # row of K is a zero row and column of K r K†.  The dense and partial
+        # operators loop, each over the whole stack (an (n, ..., d_out, d_out)
+        # batched product would hold n copies of the output).  A one-row operator
+        # |a><v| adds (v r v†) |a><a|, so the one-row operators, d_out·dim ker of
+        # them in E's kernel block (README), take one product for every distinct
+        # v at once and one more to spread the results onto the diagonal.
+        split = m._row_split
         out = np.zeros(r.shape[:-2] + (m.d_out, m.d_out), dtype=complex)
-        for k, live in zip(m.kraus, m.kraus.any(axis=-1).tolist()):
-            if all(live):
-                out += k @ r @ dagger(k)
-            elif any(live):
-                rows = np.flatnonzero(live)
-                part = k[rows]
-                out[..., rows[:, None], rows] += part @ r @ dagger(part)
+        for k in split.dense:
+            out += k @ r @ dagger(k)
+        if len(split.rows):
+            vrv = ((split.rows @ r) * split.rows.conj()).sum(axis=-1)
+            diag = np.arange(m.d_out)
+            out[..., diag, diag] += vrv @ split.spread
+        for rows, part in split.partial:
+            out[..., rows[:, None], rows] += part @ r @ dagger(part)
         return out
     if isinstance(m, Superoperator):
         # Row-wise column-stacked vecs: vecs[..., i + j*d_in] = r[..., i, j].

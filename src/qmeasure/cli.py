@@ -12,6 +12,7 @@ error: the stderr line is then all, and no record is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -226,7 +227,11 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main`
+    call.  Each subcommand's `cmd_*` function is bound by `set_defaults(func=...)`
+    when the parser is built, so patching a `cmd_*` afterwards does not reach it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=_parse_eps, default=1e-9,
                         help="absolute comparison tolerance (default 1e-9)")

@@ -153,6 +153,7 @@ def kraus_rank(b: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of significant Choi eigenvalues; 1 exactly for single-operator maps."""
     # The spectrum comes from the n x n Gram matrix of the Kraus operators
     # (ChoiMatrix.eigenvalues).  The dense d_in*d_out Choi matrix is still built
-    # (5-8 ms at d=32): it keeps the spectrum tied to one ChoiMatrix record, and
-    # the decompose-d32 benchmark requires the choi_from_map span to fire.
+    # (about 3 ms of 3.4-4.4 at d=32): it keeps the spectrum tied to one
+    # ChoiMatrix record, and the decompose-d32 benchmark requires the
+    # choi_from_map span to fire.
     return int(tol.support(choi_from_map(b).eigenvalues).sum())

@@ -79,6 +79,16 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+def positive_ints(values, what: str) -> tuple[int, ...]:
+    """`values` as Python ints; a value that is not a positive integer (3.0 and
+    np.int64(3) are) raises ValueError naming `what`."""
+    ints = tuple(int(v) for v in values)
+    if ints != tuple(values) or min(ints) < 1:
+        raise ValueError(f"{what} must be positive integers, got "
+                         + ", ".join(repr(v) for v in values))
+    return ints
+
+
 def _require_finite(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         raise ValueError("empty matrix")

@@ -114,16 +114,14 @@ class BipartiteState:
     state: DensityOperator
 
     def __post_init__(self):
-        d_a, d_b = int(self.dims[0]), int(self.dims[1])
-        if d_a < 1 or d_b < 1:
-            raise ValueError("factor dimensions must be positive")
+        d_a, d_b = matkit.positive_ints(self.dims, "factor dimensions")
         if self.state.dim != d_a * d_b:
             raise ValueError(f"state dimension {self.state.dim} != {d_a}*{d_b}")
         object.__setattr__(self, "dims", (d_a, d_b))
 
     @classmethod
     def from_vector(cls, psi, dims, tol: Tolerances = DEFAULT_TOL) -> "BipartiteState":
-        return cls(tuple(int(d) for d in dims), DensityOperator.from_vector(psi, tol))
+        return cls(dims, DensityOperator.from_vector(psi, tol))
 
     def reduced(self, keep: int) -> DensityOperator:
         return DensityOperator(matkit.partial_trace(self.state.mat, self.dims, keep),

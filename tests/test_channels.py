@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmeasure import harness, matkit
+from qmeasure import channels, harness, matkit
 from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
                                apply_map, choi_from_map, completely_depolarizing,
                                compose, identity_channel, kraus_from_choi,
@@ -235,7 +235,7 @@ def channel_with_dead_rows(rows, d_in, d_out, rng) -> KrausChannel:
     """A random channel whose operators have zero rows in the way `rows` names;
     "decomposed" is E of decompose(b, f) for an effect f with a one-dimensional
     kernel, whose kernel block is d_out operators with one nonzero row each."""
-    ch = harness.random_cptp(d_in, d_out, 2, rng)
+    ch = harness.random_cptp(d_in, d_out, max(2, -(-d_in // d_out)), rng)
     if rows == "decomposed":
         f = harness.random_effect(d_in, rng, zero_eigenvalues=1)
         return decompose(KrausChannel.from_ops(ch.kraus @ f.root), f).channel
@@ -247,15 +247,34 @@ def channel_with_dead_rows(rows, d_in, d_out, rng) -> KrausChannel:
             k[np.arange(d_out) != rng.integers(d_out)] = 0
     elif rows == "zero operator":
         ops[1] = 0
+    elif rows == "mixed":
+        # Two dense operators, then one with live rows 0 and d_out - 1 (dense
+        # unless d_out > 2), the one-row operators |0><v|, |last><v|, |0><v| (a
+        # repeated row and a repeated operator) and |0><w| (output row 0 again),
+        # and a zero operator.
+        g = rng.standard_normal((4, d_in)) + 1j * rng.standard_normal((4, d_in))
+        extra = np.zeros((6, d_out, d_in), dtype=complex)
+        extra[0, [0, -1]] = g[:2]
+        extra[1, 0] = extra[2, -1] = extra[3, 0] = g[2]
+        extra[4, 0] = g[3]
+        ops = np.concatenate([ops, extra / 2])
     return KrausChannel.from_ops(ops)
 
 
+def loop_apply(ch, r):
+    """Sum of K r K† over the operators, in their order, each on all of its rows."""
+    out = np.zeros(r.shape[:-2] + (ch.d_out, ch.d_out), dtype=complex)
+    for k in ch.kraus:
+        out += k @ r @ matkit.dagger(k)
+    return out
+
+
 @pytest.mark.parametrize("stack", [1, 3, 7])
-@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (3, 1)])
 def test_apply_map_on_a_stack_matches_per_matrix_calls(dims, stack):
     d_in, d_out = dims
     for rows in ("dense", "one dead row", "one live row per operator", "zero operator",
-                 "decomposed"):
+                 "mixed", "decomposed"):
         rng = np.random.default_rng(100 * d_in + 10 * d_out + stack)
         ch = channel_with_dead_rows(rows, d_in, d_out, rng)
         # General (non-Hermitian) operands, so no symmetry hides an index mix-up.
@@ -270,6 +289,39 @@ def test_apply_map_on_a_stack_matches_per_matrix_calls(dims, stack):
             np.testing.assert_allclose(out, loop, rtol=0, atol=1e-12, err_msg=rows)
             nested = apply_map(form, rhos.reshape(1, *shape))
             np.testing.assert_allclose(nested[0], out, rtol=0, atol=1e-12, err_msg=rows)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (3, 1)])
+def test_a_channel_without_dead_rows_keeps_the_per_operator_sums_bit_for_bit(dims):
+    """`decompose` reads F's kernel basis off a product-by-product sum of K†K, whose
+    last bit can rotate that basis; a channel with dead rows is summed otherwise."""
+    d_in, d_out = dims
+    rng = np.random.default_rng(7 * d_in + d_out)
+    dense = channel_with_dead_rows("dense", d_in, d_out, rng)
+    np.testing.assert_array_equal(dense.completeness(),
+                                  (dense.kraus.conj().transpose(0, 2, 1) @ dense.kraus).sum(axis=0))
+    rhos = harness.random_density(d_in, rng).mat + np.zeros((3, 1, 1))
+    np.testing.assert_array_equal(apply_map(dense, rhos), loop_apply(dense, rhos))
+    mixed = channel_with_dead_rows("mixed", d_in, d_out, rng)
+    np.testing.assert_allclose(mixed.completeness(), loop_completeness(mixed), rtol=0, atol=1e-14)
+
+
+def test_a_channel_splits_its_operators_by_live_rows_once(monkeypatch):
+    splits = []
+
+    def counted(ops):
+        splits.append(ops)
+        return split_rows(ops)
+
+    split_rows = channels._split_rows
+    monkeypatch.setattr(channels, "_split_rows", counted)
+    rng = np.random.default_rng(3)
+    ch = channel_with_dead_rows("mixed", 3, 4, rng)
+    rho = harness.random_density(3, rng).mat
+    first = apply_map(ch, rho)
+    np.testing.assert_array_equal(apply_map(ch, rho), first)
+    ch.completeness()
+    assert len(splits) == 1 and splits[0] is ch.kraus
 
 
 def test_apply_map_rejects_bad_operands_in_every_form():

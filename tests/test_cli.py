@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qmeasure
 from qmeasure import decomposition, harness, serialize
 from qmeasure.channels import KrausChannel, superop_from_map, transpose_superoperator
-from qmeasure.cli import main
+from qmeasure.cli import build_parser, main
 from qmeasure.measure import Instrument, Povm, fuse_sequential, luders_from_povm
 from qmeasure.states import DensityOperator
 
@@ -469,13 +469,17 @@ def test_decompose_record_is_written_without_its_nested_lists(tmp_path, monkeypa
 
 
 
+def child_env() -> dict:
+    """The environment of a child process that imports this qmeasure."""
+    src = str(Path(qmeasure.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def closed_stdout_run(*argv):
     """Run the CLI in a child whose stdout pipe has no reader by the time it
     writes: the read end is closed before the child has imported numpy."""
-    src = str(Path(qmeasure.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    child = subprocess.Popen([sys.executable, "-m", "qmeasure.cli", *argv], env=env,
+    child = subprocess.Popen([sys.executable, "-m", "qmeasure.cli", *argv], env=child_env(),
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     child.stdout.close()
     err = child.stderr.read().decode()
@@ -501,6 +505,23 @@ def test_a_closed_stdout_ends_in_one_stderr_line_and_exit_1(tmp_path, command, l
     assert code == 1
     (only,) = err.splitlines()
     assert only.startswith(line)
+
+
+def test_calls_in_one_process_read_as_in_a_new_process(tmp_path, capsys):
+    """The parser is built once per process and serves every `main` call: a usage
+    error, a decompose and a suite, run one after another in this process, each
+    give the exit code and stdout of the same command run in a new process."""
+    path = write(tmp_path / "atom.json", harness.atom_demo())
+    for argv in (["suite", "no-such-suite"], ["decompose", path, "1"],
+                 ["suite", "lemma", "--trials", "1"]):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "qmeasure.cli", *argv], env=child_env(),
+                               capture_output=True, text=True, timeout=120)
+        assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+    assert code == 0 and build_parser() is build_parser()
 
 
 def test_decompose_and_demo_check_the_premise_once_per_outcome(tmp_path, monkeypatch):

@@ -189,6 +189,20 @@ def test_steering_takes_one_spectrum_the_pure_ket_of_the_state(monkeypatch):
                                    atol=1e-10)
 
 
+def test_bipartite_factor_dimensions_are_stored_as_ints_or_refused():
+    """A factor dimension of 2.5 was once truncated to 2, since int() ran before
+    the product check; the rule is the one map dimensions follow."""
+    mixed = DensityOperator(np.eye(4) / 4)
+    for dims in ((np.int64(2), 2.0), (2, 2)):
+        stored = BipartiteState(dims, mixed).dims
+        assert stored == (2, 2) and {type(d) for d in stored} == {int}
+    for dims in ((2.5, 2), (0, 4), (-1, -4), (4, 1.0 + 1e-9)):
+        with pytest.raises(ValueError, match="factor dimensions must be positive integers"):
+            BipartiteState(dims, mixed)
+    with pytest.raises(ValueError, match="factor dimensions must be positive integers"):
+        BipartiteState.from_vector(np.array([1, 0, 0, 1]) / np.sqrt(2), (2.5, 2))
+
+
 def test_steering_of_a_mixed_state_raises_the_purity_error_first():
     mixed = BipartiteState((2, 2), DensityOperator(np.eye(4) / 4))
     wrong_dimension = Ensemble.of((1.0, np.array([1.0, 0.0, 0.0])))
