@@ -34,7 +34,11 @@ def _say(msg: str) -> None:
 
 
 def _report(payload: dict) -> None:
-    print(serialize.dumps(payload), flush=True)
+    """Write the record to stdout in pieces, all built before the first write,
+    so that a failure while building it leaves stdout untouched."""
+    pieces = serialize.record_pieces(payload)
+    sys.stdout.writelines(pieces)
+    sys.stdout.flush()
 
 
 def _tolerances(args) -> Tolerances:

@@ -81,9 +81,12 @@ DEFAULT_TOL = Tolerances()
 
 def positive_ints(values, what: str) -> tuple[int, ...]:
     """`values` as Python ints; a value that is not a positive integer (3.0 and
-    np.int64(3) are) raises ValueError naming `what`."""
-    ints = tuple(int(v) for v in values)
-    if ints != tuple(values) or min(ints) < 1:
+    np.int64(3) are; NaN and +-inf are not) raises ValueError naming `what`."""
+    try:
+        ints = tuple(int(v) for v in values)
+    except (ValueError, OverflowError):  # "2.5" as text, NaN, +-inf
+        ints = None
+    if ints is None or ints != tuple(values) or min(ints) < 1:
         raise ValueError(f"{what} must be positive integers, got "
                          + ", ".join(repr(v) for v in values))
     return ints

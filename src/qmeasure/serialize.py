@@ -8,11 +8,20 @@ and every other value (kind, label, dimension; the maps store theirs as ints)
 as a plain JSON value, which both writers write with `json.dumps`.
 The file writer and `dumps` (the CLI's records) write an array one distinct
 row at a time: each distinct row of its last two axes (a matrix row of
-[re, im] pairs) is encoded once and its text reused wherever the row recurs,
-as the zero rows of a decomposition's kernel operators do.  Their text is the
-same, byte for byte, as that of the array's nested lists.  Parsing is split
-in two: `parse_text` only checks syntax and shapes (parse errors), `build`
-constructs domain objects (whose invariant checks may raise ValueError).
+[re, im] pairs) is encoded once and its text reused wherever the row recurs.
+The rows whose bytes are all zero (+0.0 throughout, as most rows of a
+decomposition's kernel operators are) are found with one mask and share one
+text, so only the other rows are keyed one by one.  A row is written through a
+cached printf template: `%.17g` in files, and `%r` (float's repr, the text
+`json.dumps` gives) in records, where a row holding NaN or +-inf goes through
+`json.dumps` for its `NaN`/`Infinity` spellings.  Their text is the same, byte
+for byte, as that of the array's nested lists.  One builder lays a payload out
+as a list of pieces, an array's one per entry of its first axis (a row of a
+matrix, a matrix of a stack): `dumps` and `to_text` join them, while
+`write_file` and the CLI hand them to the sink's `writelines`, so no writer
+holds a second copy of a multi-MB text.  Parsing is split in two:
+`parse_text` only checks syntax and shapes (parse errors), `build` constructs
+domain objects (whose invariant checks may raise ValueError).
 """
 
 from __future__ import annotations
@@ -33,35 +42,47 @@ class ParseError(ValueError):
     """Malformed file: bad JSON, unknown kind, or wrong shapes."""
 
 
-def _array_text(a: np.ndarray, row_text, comma: str) -> str:
-    """The text of `a` as nested lists, each distinct row of its last two axes
-    written once by `row_text`; rows are told apart by their bytes, so -0.0
-    and 0.0 stay distinct.  The row texts are joined with `comma` over the
-    leading axes."""
+def _array_pieces(a: np.ndarray, row_text, comma: str, out: list) -> None:
+    """Append to `out` the text of `a` as nested lists, one piece per entry of
+    its first axis, each distinct row of its last two axes written once by
+    `row_text`.  Rows are told apart by their bytes, so -0.0 and 0.0 stay
+    distinct; the rows whose bytes are all zero are found with one mask and
+    share one text, and only the others are keyed one by one.  The row texts
+    are joined with `comma` over the leading axes below the first."""
     if a.ndim <= 2:
-        return row_text(a)
+        out.append(row_text(a))
+        return
     lead = a.shape[:-2]
-    rows = a.reshape((math.prod(lead),) + a.shape[-2:])
+    count = math.prod(lead)
+    rows = a.reshape((count,) + a.shape[-2:])
+    bits = np.ascontiguousarray(rows).view(np.uint8).reshape(count, -1)
+    live = bits.any(axis=1)
+    zero = None if live.all() else row_text(rows[np.argmin(live)])  # +0.0 throughout
+    texts = [zero] * count
     memo: dict = {}
-    texts = []
-    for row in rows:
-        key = row.tobytes()
+    for i in np.flatnonzero(live).tolist():
+        key = bits[i].tobytes()
         text = memo.get(key)
         if text is None:
-            text = memo[key] = row_text(row)
-        texts.append(text)
-    for depth in range(len(lead), 0, -1):
+            text = memo[key] = row_text(rows[i])
+        texts[i] = text
+    for depth in range(len(lead), 1, -1):
         n = lead[depth - 1]
         texts = ["[" + comma.join(texts[i * n:(i + 1) * n]) + "]"
                  for i in range(math.prod(lead[:depth - 1]))]
-    return texts[0]
+    out.append("[")
+    for i, text in enumerate(texts):
+        if i:
+            out.append(comma)
+        out.append(text)
+    out.append("]")
 
 
-def _write(node, out: list, row_text, comma: str, colon: str) -> None:
-    """Append the JSON text of a payload to `out`: arrays through `_array_text`,
-    other leaves through `json.dumps`."""
+def _pieces(node, out: list, row_text, comma: str, colon: str) -> list:
+    """Append the JSON text of a payload to `out` in pieces and return `out`:
+    arrays through `_array_pieces`, other leaves through `json.dumps`."""
     if isinstance(node, np.ndarray):
-        out.append(_array_text(node, row_text, comma))
+        _array_pieces(node, row_text, comma, out)
     elif isinstance(node, dict):
         out.append("{")
         for i, (key, value) in enumerate(node.items()):
@@ -71,41 +92,53 @@ def _write(node, out: list, row_text, comma: str, colon: str) -> None:
                 out.append(comma)
             out.append(json.dumps(key))
             out.append(colon)
-            _write(value, out, row_text, comma, colon)
+            _pieces(value, out, row_text, comma, colon)
         out.append("}")
     elif isinstance(node, (list, tuple)):
         out.append("[")
         for i, value in enumerate(node):
             if i:
                 out.append(comma)
-            _write(value, out, row_text, comma, colon)
+            _pieces(value, out, row_text, comma, colon)
         out.append("]")
     else:
         out.append(json.dumps(node))
+    return out
 
 
 @functools.cache
-def _template(shape: tuple) -> str:
-    """printf template of a float array of this shape, in the file writer's layout."""
+def _template(shape: tuple, spec: str, sep: str) -> str:
+    """printf template of a float array of this shape: nested lists of `spec`
+    joined by `sep`."""
     if not shape:
-        return "%.17g"
-    return "[" + ",".join([_template(shape[1:])] * shape[0]) + "]"
+        return spec
+    return "[" + sep.join([_template(shape[1:], spec, sep)] * shape[0]) + "]"
 
 
 def _file_row(row: np.ndarray) -> str:
     # + 0.0 turns -0.0 into 0.0, so round trips stay byte identical.
-    return _template(row.shape) % tuple((row + 0.0).ravel().tolist())
+    return _template(row.shape, "%.17g", ",") % tuple((row + 0.0).ravel().tolist())
 
 
 def _record_row(row: np.ndarray) -> str:
+    # %r is float.__repr__, json.dumps' text of a finite float; json.dumps
+    # alone spells NaN and +-Infinity.
+    if np.isfinite(row).all():
+        return _template(row.shape, "%r", ", ") % tuple(row.ravel().tolist())
     return json.dumps(row.tolist())
 
 
 def dumps(payload) -> str:
     """`json.dumps(payload)` of the payload with its arrays as nested lists."""
-    out: list = []
-    _write(payload, out, _record_row, ", ", ": ")
-    return "".join(out)
+    return "".join(_pieces(payload, [], _record_row, ", ", ": "))
+
+
+def record_pieces(payload) -> list[str]:
+    """The text of `dumps(payload)` and a newline, the CLI's record line, as a
+    list of pieces for a sink's `writelines`."""
+    out = _pieces(payload, [], _record_row, ", ", ": ")
+    out.append("\n")
+    return out
 
 
 def matrix_payload(m) -> np.ndarray:
@@ -140,15 +173,22 @@ def to_payload(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _file_pieces(obj) -> list[str]:
+    out = _pieces(to_payload(obj), [], _file_row, ",", ":")
+    out.append("\n")
+    return out
+
+
 def to_text(obj) -> str:
-    out: list = []
-    _write(to_payload(obj), out, _file_row, ",", ":")
-    return "".join(out) + "\n"
+    return "".join(_file_pieces(obj))
 
 
 def write_file(path, obj) -> None:
+    """Write the text of `obj` to `path` in pieces, all built before the file
+    is opened."""
+    pieces = _file_pieces(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_text(obj))
+        fh.writelines(pieces)
 
 
 def _matrix_at_once(node) -> np.ndarray | None:

@@ -15,6 +15,7 @@ from qmeasure.decomposition import decompose, kraus_rank
 from qmeasure.errors import NonPositiveEffectError, NotCPError
 from qmeasure.matkit import DEFAULT_TOL, Tolerances
 from qmeasure.measure import Povm
+from qmeasure.states import BipartiteState, DensityOperator
 
 
 def choi_oracle(m, d_in, d_out):
@@ -116,6 +117,21 @@ def test_map_forms_reject_dimensions_that_are_not_positive_integers():
                   lambda: KrausChannel(np.zeros((1, 2, 2)), d_in=2.5, d_out=2),
                   lambda: KrausChannel(np.zeros((1, 2, 2)), d_in="2", d_out=2)):
         with pytest.raises(ValueError, match="map dimensions must be positive integers"):
+            build()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+def test_constructors_reject_a_non_finite_dimension_with_their_own_error(bad):
+    """An infinite dimension once ended in Python's OverflowError and a NaN one
+    in its "cannot convert float NaN to integer"."""
+    mixed = DensityOperator(np.eye(4) / 4)
+    for build, what in (
+            (lambda: KrausChannel(np.zeros((1, 2, 2)), d_in=bad, d_out=2), "map"),
+            (lambda: Superoperator(np.eye(4), d_in=2, d_out=bad), "map"),
+            (lambda: ChoiMatrix(np.eye(4), d_in=bad, d_out=bad), "map"),
+            (lambda: BipartiteState((bad, 2), mixed), "factor")):
+        with pytest.raises(ValueError, match=f"^{what} dimensions must be positive integers"):
             build()
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qmeasure
-from qmeasure import decomposition, harness, serialize
+from qmeasure import cli, decomposition, harness, serialize
 from qmeasure.channels import KrausChannel, superop_from_map, transpose_superoperator
 from qmeasure.cli import build_parser, main
 from qmeasure.measure import Instrument, Povm, fuse_sequential, luders_from_povm
@@ -431,18 +432,19 @@ def planted_instrument(d, kernel_dim, kraus_per_outcome, rng):
 
 
 def decompose_record(tmp_path, monkeypatch, capsys):
-    """The payload `decompose` hands to `serialize.dumps` on a d=8 planted
-    instrument (kernel dimension 2, 2 Kraus operators per outcome), and its stdout."""
+    """The payload `decompose` hands to `serialize.record_pieces` on a d=8
+    planted instrument (kernel dimension 2, 2 Kraus operators per outcome), and
+    its stdout."""
     inst = planted_instrument(8, 2, 2, np.random.default_rng(1))
     path = write(tmp_path / "planted-d8.json", inst)
     payloads = []
-    dumps = serialize.dumps
+    record_pieces = serialize.record_pieces
 
     def spy(payload):
         payloads.append(payload)
-        return dumps(payload)
+        return record_pieces(payload)
 
-    monkeypatch.setattr(serialize, "dumps", spy)
+    monkeypatch.setattr(serialize, "record_pieces", spy)
     assert main(["decompose", path, "0"]) == 0
     (payload,) = payloads
     assert payload["conditional_kraus"].shape == (2 + 2 * 8, 8, 8, 2)
@@ -467,6 +469,54 @@ def test_decompose_record_is_written_without_its_nested_lists(tmp_path, monkeypa
     assert text + "\n" == out
     assert peak < 5 * len(text)
 
+
+def test_decompose_record_streams_to_stdout_at_little_more_than_its_text(tmp_path):
+    """At d=32 (kernel 8, 4 operators per outcome: 260 operators, 3.7 MB of
+    text) `_report` hands the record's pieces to the sink: its peak stays near
+    the text, where one joined string printed took about 3x."""
+    inst = planted_instrument(32, 8, 4, np.random.default_rng(1))
+    channel = inst.channel("0")
+    effect = inst.povm.effect("0")
+    rec = decomposition.decompose(channel, effect)
+    payload = {"command": "decompose", "label": "0",
+               "effect": serialize.matrix_payload(effect.mat),
+               "conditional_kraus": serialize.matrix_payload(rec.kraus)}
+    assert payload["conditional_kraus"].shape == (260, 32, 32, 2)
+    text = serialize.dumps(payload)
+    with open(tmp_path / "record.json", "w", encoding="utf-8") as sink:
+        with contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                cli._report(payload)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert (tmp_path / "record.json").read_text(encoding="utf-8") == text + "\n"
+    assert peak < 1.5 * len(text)
+
+
+@pytest.mark.parametrize("error, code", [(ValueError, 2), (MemoryError, 2), (OSError, 1)])
+def test_a_row_writer_failure_leaves_only_the_error_record(tmp_path, monkeypatch, capsys,
+                                                           error, code):
+    """Every piece of a record is built before the first write, so a row writer
+    that fails partway through `conditional_kraus` leaves stdout holding the
+    error record alone."""
+    path = write(tmp_path / "planted-d8.json",
+                 planted_instrument(8, 2, 2, np.random.default_rng(1)))
+    record_row = serialize._record_row
+    calls = []
+
+    def failing(row):
+        calls.append(row.shape)
+        if len(calls) == 12:  # the effect's 8 distinct rows come first
+            raise error("row writer failed")
+        return record_row(row)
+
+    monkeypatch.setattr(serialize, "_record_row", failing)
+    assert main(["decompose", path, "0"]) == code
+    assert len(calls) == 12
+    record = error_record(capsys, code)
+    assert record["error"] == f"{error.__name__}: row writer failed"
 
 
 def child_env() -> dict:

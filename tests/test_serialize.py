@@ -2,8 +2,12 @@
 nested-list file writer, and the one-conversion matrix reader against the
 per-entry loop."""
 
+import contextlib
+import io
 import json
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,10 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmeasure import harness, serialize
+from qmeasure import cli, harness, serialize
 from qmeasure.channels import (ChoiMatrix, KrausChannel, Superoperator, adjoint,
                                choi_from_map, kraus_from_choi, superop_from_map)
-from qmeasure.measure import Instrument
+from qmeasure.measure import Instrument, luders_from_povm
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1e16, -1e16, 1e15, 9007199254740993.0,
@@ -38,13 +42,13 @@ def complex_arrays(draw, floats):
 
 
 @st.composite
-def row_stacks(draw, floats, specials: bool):
+def row_stacks(draw, floats, specials: bool, mixed: bool = False):
     """Complex arrays of shape (k,), (d, d) or (n, d, d) whose rows are drawn
     from a small pool, so rows repeat: a drawn row, an all-zero row, a zero
     row with drawn signs, the drawn row with the sign of each zero flipped,
-    and with `specials` a row of NaN and +-Inf."""
-    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    shape = draw(st.sampled_from([(d,), (d, d), (n, d, d)]))
+    and with `specials` a row of NaN and +-Inf.  With `mixed` the array is an
+    (n, d, d) stack that holds every row of the pool, in a drawn order."""
+    d = draw(st.integers(1, 4))
 
     def row(elements):
         return np.array(draw(st.lists(elements, min_size=2 * d, max_size=2 * d)))
@@ -54,8 +58,17 @@ def row_stacks(draw, floats, specials: bool):
             np.where(base == 0, np.copysign(0.0, -np.copysign(1.0, base)), base)]
     if specials:
         pool.append(row(st.sampled_from([np.nan, np.inf, -np.inf])))
+    if mixed:
+        least = -(-len(pool) // d)
+        shape = (draw(st.integers(least, least + 3)), d, d)
+    else:
+        n = draw(st.integers(1, 4))
+        shape = draw(st.sampled_from([(d,), (d, d), (n, d, d)]))
     count = int(np.prod(shape[:-1]))
-    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=count, max_size=count))
+    extra = count - len(pool) if mixed else count
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=extra, max_size=extra))
+    if mixed:
+        picks = draw(st.permutations(picks + list(range(len(pool)))))
     return np.stack([pool[i] for i in picks]).view(np.complex128).reshape(shape)
 
 
@@ -136,6 +149,56 @@ def test_dumps_writes_repeated_rows_as_json_dumps_does(m):
 def test_to_text_writes_repeated_rows_as_the_recursive_writer_does(m):
     obj = KrausChannel.from_ops(m.reshape((1,) * (3 - m.ndim) + m.shape))
     assert serialize.to_text(obj) == reference_text(obj)
+
+
+def streamed_record(payload) -> str:
+    """What `cli._report` writes to stdout for the payload."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._report(payload)
+    return out.getvalue()
+
+
+def written_file(obj) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obj.json"
+        serialize.write_file(path, obj)
+        return path.read_bytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=row_stacks(ANY_FLOAT, specials=True, mixed=True))
+def test_records_of_stacks_mixing_zero_signed_zero_and_special_rows(m):
+    """Zero rows share one text, finite rows take the printf template and
+    rows with NaN or +-Inf take json.dumps: all of them in one stack."""
+    pairs = serialize.matrix_payload(m)
+    payload = {"m": pairs, "again": [pairs, {"rows": pairs[..., ::-1, :]}]}
+    text = json.dumps(as_lists(payload))
+    assert serialize.dumps(payload) == text
+    assert streamed_record(payload) == text + "\n"
+
+
+@settings(deadline=None, max_examples=150)
+@given(m=row_stacks(FINITE, specials=False, mixed=True))
+def test_files_of_stacks_mixing_zero_and_signed_zero_rows(m):
+    obj = KrausChannel.from_ops(m)
+    text = serialize.to_text(obj)
+    assert text == reference_text(obj)
+    assert written_file(obj) == text.encode("utf-8")
+
+
+def test_write_file_writes_the_text_of_every_object_kind():
+    rng = np.random.default_rng(8)
+    channel = harness.random_cptp(3, 2, 2, rng)
+    povm = harness.random_povm(3, 3, rng)
+    objects = [harness.random_density(3, rng), povm, channel, superop_from_map(channel),
+               luders_from_povm(povm), harness.stern_gerlach_demo()]
+    kinds = {serialize.to_payload(obj)["kind"] for obj in objects}
+    assert kinds == {"density", "povm", "kraus_channel", "superoperator", "instrument"}
+    for obj in objects:
+        text = serialize.to_text(obj)
+        assert written_file(obj) == text.encode("utf-8")
+        assert serialize.to_text(serialize.from_text(text)) == text
 
 
 def test_rows_that_differ_only_in_the_sign_of_a_zero_are_written_apart():
