@@ -17,6 +17,8 @@ import itertools
 import os
 import sys
 
+import numpy as np
+
 from . import decomposition, harness, matkit, serialize
 from .channels import KrausChannel, Superoperator, apply_map, choi_from_map
 from .matkit import Tolerances
@@ -170,14 +172,15 @@ def _parse_dims(raw: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_trials(raw: str) -> int:
+def _parse_int(raw: str, option: str, least: int) -> int:
+    """An integer >= `least`, the value of `option`."""
     try:
-        trials = int(raw)
+        value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad --trials value {raw!r}") from None
-    if trials < 1:
-        raise argparse.ArgumentTypeError("--trials needs an integer >= 1")
-    return trials
+        raise argparse.ArgumentTypeError(f"bad {option} value {raw!r}") from None
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{option} needs an integer >= {least}")
+    return value
 
 
 def cmd_suite(args) -> int:
@@ -207,14 +210,9 @@ def cmd_demo(args) -> int:
     tol = _tolerances(args)
     if args.which == "correlated-env":
         rep = harness.correlated_env_demo(tol)
-        _report({"command": "demo", "which": args.which,
-                 "initial_system": serialize.matrix_payload(rep.initial_system),
-                 "initial_environment": serialize.matrix_payload(rep.initial_environment),
-                 "post_system_first": serialize.matrix_payload(rep.post_system_first),
-                 "post_system_second": serialize.matrix_payload(rep.post_system_second),
-                 "initial_residual": rep.initial_residual,
-                 "distinguishability": rep.distinguishability,
-                 "note": rep.note})
+        fields = {name: serialize.matrix_payload(value) if isinstance(value, np.ndarray)
+                  else value for name, value in vars(rep).items()}
+        _report({"command": "demo", "which": args.which, **fields})
         _say("identical marginals evolve to distinct system states "
              f"(trace distance {rep.distinguishability / 2:.3f})")
         _say(rep.note)
@@ -281,8 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", parents=[common], help="run a property suite")
     p.add_argument("name", choices=["nosignal", "linearity", "lemma", "all"])
-    p.add_argument("--trials", type=_parse_trials, default=None)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--trials", default=None,
+                   type=functools.partial(_parse_int, option="--trials", least=1))
+    p.add_argument("--seed", default=42,
+                   type=functools.partial(_parse_int, option="--seed", least=0))
     p.add_argument("--dims", type=_parse_dims, default=None,
                    help="comma-separated dimensions, e.g. 2,3")
     p.add_argument("--demo-nonlinear", action="store_true",

@@ -307,19 +307,30 @@ def test_apply_map_on_a_stack_matches_per_matrix_calls(dims, stack):
             np.testing.assert_allclose(nested[0], out, rtol=0, atol=1e-12, err_msg=rows)
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (3, 1)])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4), (3, 1), (3, 3), (3, 5), (5, 4)])
 def test_a_channel_without_dead_rows_keeps_the_per_operator_sums_bit_for_bit(dims):
     """`decompose` reads F's kernel basis off a product-by-product sum of K†K, whose
-    last bit can rotate that basis; a channel with dead rows is summed otherwise."""
+    last bit can rotate that basis.  A channel with no one-row operator, dead rows
+    or not, gets the plain loop's bits; one with one-row operators is summed otherwise."""
     d_in, d_out = dims
+
+    def product_sum(ch):
+        return (ch.kraus.conj().transpose(0, 2, 1) @ ch.kraus).sum(axis=0)
+
     rng = np.random.default_rng(7 * d_in + d_out)
     dense = channel_with_dead_rows("dense", d_in, d_out, rng)
-    np.testing.assert_array_equal(dense.completeness(),
-                                  (dense.kraus.conj().transpose(0, 2, 1) @ dense.kraus).sum(axis=0))
+    np.testing.assert_array_equal(dense.completeness(), product_sum(dense))
     rhos = harness.random_density(d_in, rng).mat + np.zeros((3, 1, 1))
     np.testing.assert_array_equal(apply_map(dense, rhos), loop_apply(dense, rhos))
     mixed = channel_with_dead_rows("mixed", d_in, d_out, rng)
     np.testing.assert_allclose(mixed.completeness(), loop_completeness(mixed), rtol=0, atol=1e-14)
+    # From d_out = 3 on, one dead row leaves operator 0 several live rows.
+    for seed in range(20 if d_out >= 3 else 0):
+        rng = np.random.default_rng(seed)
+        ch = channel_with_dead_rows("one dead row", d_in, d_out, rng)
+        rhos = harness.random_density(d_in, rng).mat + np.zeros((3, 1, 1))
+        np.testing.assert_array_equal(apply_map(ch, rhos), loop_apply(ch, rhos), err_msg=seed)
+        np.testing.assert_array_equal(ch.completeness(), product_sum(ch), err_msg=seed)
 
 
 def test_a_channel_splits_its_operators_by_live_rows_once(monkeypatch):

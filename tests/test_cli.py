@@ -667,6 +667,18 @@ def test_suite_rejects_bad_trials_and_dims_as_usage_errors(bad, capsys):
     assert "Traceback" not in out.err
 
 
+def test_suite_takes_a_seed_from_0_and_rejects_a_negative_one_as_a_usage_error(capsys):
+    assert main(["suite", "nosignal", "--trials", "1", "--seed", "0"]) == 0
+    assert last_json(capsys)["seed"] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "nosignal", "--trials", "1", "--seed", "-5"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --seed: --seed needs an integer >= 0" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_suite_reports_are_seed_stable(capsys):
     assert main(["suite", "nosignal", "--trials", "10", "--seed", "1"]) == 0
     first = capsys.readouterr().out
