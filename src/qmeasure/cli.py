@@ -43,10 +43,6 @@ def _report(payload: dict) -> None:
     sys.stdout.flush()
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(eps=args.tol, rank_tol_factor=args.rank_tol)
-
-
 def _load(path: str, wanted, tol: Tolerances):
     """The object in the file at `path`, which must be a `wanted`; a wrong
     kind, like every `serialize.read_file` failure, names the file."""
@@ -59,8 +55,7 @@ def _load(path: str, wanted, tol: Tolerances):
     return obj
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerances(args)
+def cmd_verify(args, tol: Tolerances) -> int:
     obj = _load(args.path, object, tol)
     flags: dict = {}
     if isinstance(obj, Superoperator):
@@ -83,8 +78,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_fuse(args) -> int:
-    tol = _tolerances(args)
+def cmd_fuse(args, tol: Tolerances) -> int:
     fused = fuse_sequential(_load(args.first, Instrument, tol),
                             _load(args.second, Instrument, tol))
     serialize.write_file(args.out, fused)
@@ -110,8 +104,7 @@ def _outcome_record(inst: Instrument, label: str, tol: Tolerances) -> dict:
             "kraus_rank": decomposition.kraus_rank(channel, tol)}
 
 
-def cmd_decompose(args) -> int:
-    tol = _tolerances(args)
+def cmd_decompose(args, tol: Tolerances) -> int:
     record = _outcome_record(_load(args.instrument, Instrument, tol), args.label, tol)
     _report({"command": "decompose", **record})
     _say(f"outcome {args.label!r}: reconstruction residual "
@@ -119,8 +112,7 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def cmd_probs(args) -> int:
-    tol = _tolerances(args)
+def cmd_probs(args, tol: Tolerances) -> int:
     measurement = _load(args.povm, (Povm, Instrument), tol)
     povm = measurement.povm if isinstance(measurement, Instrument) else measurement
     dist = probabilities(_load(args.state, DensityOperator, tol), povm)
@@ -131,8 +123,7 @@ def cmd_probs(args) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(args) -> int:
-    tol = _tolerances(args)
+def cmd_evolve(args, tol: Tolerances) -> int:
     channel = _load(args.channel, (KrausChannel, Superoperator), tol)
     rho = _load(args.state, DensityOperator, tol)
     evolved = DensityOperator(apply_map(channel, rho.mat), tol)
@@ -154,20 +145,10 @@ def _parse_tolerance(raw: str, option: str, field: str) -> float:
     return value
 
 
-def _parse_eps(raw: str) -> float:
-    return _parse_tolerance(raw, "--tol", "eps")
-
-
-def _parse_rank_tol(raw: str) -> float:
-    return _parse_tolerance(raw, "--rank-tol", "rank_tol_factor")
-
-
 def _parse_dims(raw: str) -> tuple[int, ...]:
-    try:
-        dims = tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad --dims value {raw!r}") from None
-    if not dims or any(d < 2 for d in dims):
+    """The comma-separated integers >= 2 of `raw`; blank entries are skipped."""
+    dims = tuple(_parse_int(part, "--dims", 2) for part in raw.split(",") if part.strip())
+    if not dims:
         raise argparse.ArgumentTypeError("--dims needs integers >= 2")
     return dims
 
@@ -183,8 +164,7 @@ def _parse_int(raw: str, option: str, least: int) -> int:
     return value
 
 
-def cmd_suite(args) -> int:
-    tol = _tolerances(args)
+def cmd_suite(args, tol: Tolerances) -> int:
     seed = args.seed
     names = ["nosignal", "linearity", "lemma"] if args.name == "all" else [args.name]
     # --trials / --dims left unset fall back to each suite runner's own defaults.
@@ -206,8 +186,7 @@ def cmd_suite(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_SUITE
 
 
-def cmd_demo(args) -> int:
-    tol = _tolerances(args)
+def cmd_demo(args, tol: Tolerances) -> int:
     if args.which == "correlated-env":
         rep = harness.correlated_env_demo(tol)
         fields = {name: serialize.matrix_payload(value) if isinstance(value, np.ndarray)
@@ -235,9 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     call.  Each subcommand's `cmd_*` function is bound by `set_defaults(func=...)`
     when the parser is built, so patching a `cmd_*` afterwards does not reach it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_parse_eps, default=1e-9,
+    common.add_argument("--tol", default=1e-9,
+                        type=functools.partial(_parse_tolerance, option="--tol", field="eps"),
                         help="absolute comparison tolerance (default 1e-9)")
-    common.add_argument("--rank-tol", type=_parse_rank_tol, default=1e-9,
+    common.add_argument("--rank-tol", default=1e-9,
+                        type=functools.partial(_parse_tolerance, option="--rank-tol",
+                                               field="rank_tol_factor"),
                         help="relative rank cutoff factor (default 1e-9)")
 
     parser = argparse.ArgumentParser(
@@ -322,8 +304,9 @@ def _dashed_label_operands(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_dashed_label_operands(argv))
+    tol = Tolerances(eps=args.tol, rank_tol_factor=args.rank_tol)
     try:
-        return args.func(args)
+        return args.func(args, tol)
     except (OSError, ValueError, ArithmeticError, KeyError, MemoryError) as exc:
         code = EXIT_PARSE if isinstance(exc, (serialize.ParseError, OSError)) else EXIT_INVARIANT
         detail = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -81,12 +81,14 @@ DEFAULT_TOL = Tolerances()
 
 def positive_ints(values, what: str) -> tuple[int, ...]:
     """`values` as Python ints; a value that is not a positive integer (3.0 and
-    np.int64(3) are; NaN and +-inf are not) raises ValueError naming `what`."""
+    np.int64(3) are; NaN, +-inf, True and np.True_ are not) raises ValueError
+    naming `what`."""
     try:
         ints = tuple(int(v) for v in values)
     except (ValueError, OverflowError):  # "2.5" as text, NaN, +-inf
         ints = None
-    if ints is None or ints != tuple(values) or min(ints) < 1:
+    if (ints is None or ints != tuple(values) or min(ints) < 1
+            or any(isinstance(v, (bool, np.bool_)) for v in values)):
         raise ValueError(f"{what} must be positive integers, got "
                          + ", ".join(repr(v) for v in values))
     return ints

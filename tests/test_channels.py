@@ -110,12 +110,16 @@ def test_map_forms_store_their_dimensions_as_ints(cast):
 
 def test_map_forms_reject_dimensions_that_are_not_positive_integers():
     """A Choi matrix of size 6 once passed as d_in = 1.5, d_out = 4, or as
-    d_in = -2, d_out = -3, since only the product was checked."""
+    d_in = -2, d_out = -3, since only the product was checked.  A bool, which
+    int() reads as 0 or 1, is no dimension, as in the file format."""
     for build in (lambda: ChoiMatrix(np.eye(6), d_in=1.5, d_out=4),
                   lambda: ChoiMatrix(np.eye(6), d_in=-2, d_out=-3),
                   lambda: Superoperator(np.eye(9), d_in=-3, d_out=-3),
                   lambda: KrausChannel(np.zeros((1, 2, 2)), d_in=2.5, d_out=2),
-                  lambda: KrausChannel(np.zeros((1, 2, 2)), d_in="2", d_out=2)):
+                  lambda: KrausChannel(np.zeros((1, 2, 2)), d_in="2", d_out=2),
+                  lambda: KrausChannel(np.eye(1)[None], d_in=True, d_out=np.True_),
+                  lambda: Superoperator(np.eye(1), d_in=True, d_out=1),
+                  lambda: ChoiMatrix(np.eye(2), d_in=2, d_out=np.True_)):
         with pytest.raises(ValueError, match="map dimensions must be positive integers"):
             build()
 

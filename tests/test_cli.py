@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import os
 import re
@@ -16,7 +17,9 @@ import qmeasure
 from qmeasure import cli, decomposition, harness, serialize
 from qmeasure.channels import KrausChannel, superop_from_map, transpose_superoperator
 from qmeasure.cli import build_parser, main
-from qmeasure.measure import Instrument, Povm, fuse_sequential, luders_from_povm
+from qmeasure.matkit import Tolerances
+from qmeasure.measure import (Instrument, Povm, fuse_sequential, induced_povm,
+                              luders_from_povm)
 from qmeasure.states import DensityOperator
 
 
@@ -120,6 +123,78 @@ def test_tolerance_options_reject_bad_values_as_usage_errors(bad, tmp_path, caps
     assert out.out == ""
     assert f"argument {bad[0]}:" in out.err
     assert "Traceback" not in out.err
+
+
+def parsed_or_usage_error(argv):
+    """The namespace `build_parser()` makes of `argv`, or the stderr text of
+    the usage error (exit 2) it ends in."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return build_parser().parse_args(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+    assert "Traceback" not in err.getvalue()
+    return err.getvalue()
+
+
+def float_texts():
+    """Float reprs, the edges of the two tolerance ranges among them, and junk."""
+    edges = ["nan", "-nan", "inf", "-inf", "infinity", "0", "-0.0", "0e0", "-0e0", "5e-324",
+             "-5e-324", "1e-320", "1e-400", "1e400", "-1e-9", "1e-9", " 1e-3 ", "1_0", "1,5",
+             "0x10", "", " "]
+    return st.one_of(st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                     st.sampled_from(edges), st.text(max_size=12))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw=float_texts(),
+       option=st.sampled_from([("--tol", "eps"), ("--rank-tol", "rank_tol_factor")]))
+def test_a_tolerance_option_is_a_usage_error_exactly_when_tolerances_refuse_its_value(raw,
+                                                                                     option):
+    flag, field = option
+    try:
+        expected = float(raw)
+        Tolerances(**{field: expected})
+    except ValueError:
+        expected = None
+    # "--tol=VALUE", so that argparse cannot read a value such as "-0e0" as an option.
+    parsed = parsed_or_usage_error(["verify", "x.json", f"{flag}={raw}"])
+    if expected is None:
+        assert f"error: argument {flag}: bad {flag} value {raw!r}: " in parsed
+    else:
+        assert repr(getattr(parsed, flag[2:].replace("-", "_"))) == repr(expected)
+
+
+def dims_texts():
+    entries = st.one_of(st.integers(-3, 12).map(str),
+                        st.sampled_from(["", " ", " 3 ", "x", "2.0", "1e1", "+4", "0x3"]),
+                        st.text(max_size=3))
+    return st.one_of(st.lists(entries, max_size=5).map(",".join), st.text(max_size=8))
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw=dims_texts())
+def test_dims_take_each_entry_as_an_integer_of_at_least_2_through_one_rule(raw):
+    entries = [part for part in raw.split(",") if part.strip()]
+    expected, error = [], None
+    for part in entries:
+        try:
+            value = int(part)
+        except ValueError:
+            error = f"bad --dims value {part!r}"
+            break
+        if value < 2:
+            error = "--dims needs an integer >= 2"
+            break
+        expected.append(value)
+    if not entries:
+        error = "--dims needs integers >= 2"
+    parsed = parsed_or_usage_error(["suite", "lemma", f"--dims={raw}"])
+    if error is None:
+        assert parsed.dims == tuple(expected)
+    else:
+        assert f"error: argument --dims: {error}\n" in parsed
 
 
 def test_verify_incomplete_povm_exits_2(tmp_path, capsys):
@@ -590,6 +665,23 @@ def test_decompose_and_demo_check_the_premise_once_per_outcome(tmp_path, monkeyp
     assert len(checked) == 1 + 2
 
 
+def test_decompose_runs_under_the_tolerances_its_options_set(tmp_path, capsys):
+    """One policy per run: at eps = 1e-20 the effect check of the d=8 planted
+    instrument fails (its spectrum leaves [0, 1] by about 2e-16), and a rank
+    cutoff of 0.3 x max puts all six support eigenvalues within a factor 10 of
+    the cutoff, where the default cutoff has none there."""
+    inst = planted_instrument(8, 2, 2, np.random.default_rng(1))
+    path = write(tmp_path / "planted-d8.json", inst)
+    assert main(["decompose", path, "0", "--tol", "1e-20"]) == 2
+    assert "effect spectrum leaves [0, 1]" in error_record(capsys, 2)["error"]
+    assert main(["decompose", path, "0"]) == 0
+    assert last_json(capsys)["premise"]["borderline_eigenvalues"] == []
+    assert main(["decompose", path, "0", "--rank-tol", "0.3"]) == 0
+    borderline = last_json(capsys)["premise"]["borderline_eigenvalues"]
+    support = np.linalg.eigvalsh(induced_povm(inst).effect("0").mat)[2:]
+    np.testing.assert_allclose(sorted(borderline), support, rtol=0, atol=1e-12)
+
+
 # --- probs / evolve --------------------------------------------------------
 
 def test_probs_plus_state(tmp_path, capsys):
@@ -677,6 +769,11 @@ def test_suite_takes_a_seed_from_0_and_rejects_a_negative_one_as_a_usage_error(c
     assert out.out == ""
     assert "argument --seed: --seed needs an integer >= 0" in out.err
     assert "Traceback" not in out.err
+
+
+def test_suite_runs_under_the_tolerance_its_option_sets(capsys):
+    assert main(["suite", "nosignal", "--trials", "1", "--tol", "1e-30"]) == 2
+    assert error_record(capsys, 2)["error"].startswith("ValueError: ")
 
 
 def test_suite_reports_are_seed_stable(capsys):

@@ -191,12 +191,13 @@ def test_steering_takes_one_spectrum_the_pure_ket_of_the_state(monkeypatch):
 
 def test_bipartite_factor_dimensions_are_stored_as_ints_or_refused():
     """A factor dimension of 2.5 was once truncated to 2, since int() ran before
-    the product check; the rule is the one map dimensions follow."""
+    the product check, and True was once read as 1; the rule is the one map
+    dimensions follow."""
     mixed = DensityOperator(np.eye(4) / 4)
     for dims in ((np.int64(2), 2.0), (2, 2)):
         stored = BipartiteState(dims, mixed).dims
         assert stored == (2, 2) and {type(d) for d in stored} == {int}
-    for dims in ((2.5, 2), (0, 4), (-1, -4), (4, 1.0 + 1e-9)):
+    for dims in ((2.5, 2), (0, 4), (-1, -4), (4, 1.0 + 1e-9), (True, 4), (4, np.True_)):
         with pytest.raises(ValueError, match="factor dimensions must be positive integers"):
             BipartiteState(dims, mixed)
     with pytest.raises(ValueError, match="factor dimensions must be positive integers"):
