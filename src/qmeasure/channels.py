@@ -4,6 +4,7 @@ pullback through a channel."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -18,14 +19,6 @@ from .matkit import DEFAULT_TOL, Tolerances, dagger
 def vec(m) -> np.ndarray:
     """Column-stacking vectorization: vec(M)[i + j*d] = M[i, j]."""
     return np.asarray(m, dtype=complex).T.reshape(-1)
-
-
-def _store_dims(m) -> tuple[int, int]:
-    """`m.d_in` and `m.d_out` stored on the map as Python ints (matkit.positive_ints)."""
-    dims = matkit.positive_ints((m.d_in, m.d_out), "map dimensions")
-    object.__setattr__(m, "d_in", dims[0])
-    object.__setattr__(m, "d_out", dims[1])
-    return dims
 
 
 class _RowSplit(NamedTuple):
@@ -70,32 +63,30 @@ def _split_rows(ops: np.ndarray) -> _RowSplit:
 class KrausChannel:
     """Completely positive map rho -> sum_k K_k rho K_k†.
 
-    `kraus` is one read-only complex array of shape (n, d_out, d_in) with K_k
-    at kraus[k]; kraus.reshape(-1, d_in) is the Stinespring stack [K_1; ...; K_n].
+    `kraus` is one read-only complex array of shape (n, d_out, d_in), which sets the dimensions,
+    with K_k at kraus[k]; kraus.reshape(-1, d_in) is the Stinespring stack [K_1; ...; K_n].
     """
 
     kraus: np.ndarray
-    d_in: int
-    d_out: int
+    d_in: int = field(init=False)
+    d_out: int = field(init=False)
 
     def __post_init__(self):
-        d_in, d_out = _store_dims(self)
         ops = np.array(self.kraus, dtype=complex)
-        if ops.ndim != 3 or ops.shape[0] == 0 or ops.shape[1:] != (d_out, d_in):
-            raise ValueError(f"Kraus operators must stack to shape "
-                             f"(n >= 1, {d_out}, {d_in}), got {ops.shape}")
+        if ops.ndim != 3 or 0 in ops.shape:
+            raise ValueError(f"Kraus operators must stack to a shape (n, d_out, d_in) "
+                             f"of positive sizes, got {ops.shape}")
         if not np.all(np.isfinite(ops)):
             raise ValueError("Kraus operators contain NaN or Inf entries")
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "d_out", ops.shape[1])
+        object.__setattr__(self, "d_in", ops.shape[2])
 
     @classmethod
     def from_ops(cls, ops) -> "KrausChannel":
         """Channel of a non-empty sequence (or stack) of equal-shape operators."""
-        arr = np.asarray(ops, dtype=complex)
-        if arr.ndim != 3:
-            raise ValueError(f"expected a non-empty stack of matrices, got shape {arr.shape}")
-        return cls(arr, d_in=arr.shape[2], d_out=arr.shape[1])
+        return cls(ops)
 
     @cached_property
     def _row_split(self) -> _RowSplit:
@@ -138,22 +129,24 @@ def _keep_or_freeze(m: np.ndarray, owned: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """General linear map as a matrix acting on column-stacked operators."""
+    """General linear map as a (d_out**2, d_in**2) matrix on column-stacked operators."""
 
     mat: np.ndarray
-    d_in: int
-    d_out: int
+    d_in: int = field(init=False)
+    d_out: int = field(init=False)
 
     # True when `mat` is an array this module has just built and nothing else
     # references; passed by this module alone.
     _owned: bool = field(default=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        d_in, d_out = _store_dims(self)
         m = matkit.require_matrix(self.mat)
+        d_out, d_in = (math.isqrt(n) for n in m.shape)
         if m.shape != (d_out ** 2, d_in ** 2):
-            raise ValueError(f"superoperator shape {m.shape} != ({d_out ** 2}, {d_in ** 2})")
+            raise ValueError(f"superoperator shape {m.shape} is not (d_out**2, d_in**2)")
         object.__setattr__(self, "mat", _keep_or_freeze(m, self._owned))
+        object.__setattr__(self, "d_out", d_out)
+        object.__setattr__(self, "d_in", d_in)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +163,9 @@ class ChoiMatrix:
     _owned: bool = field(default=False, repr=False, kw_only=True)
 
     def __post_init__(self):
-        d_in, d_out = _store_dims(self)
+        d_in, d_out = matkit.positive_ints((self.d_in, self.d_out), "map dimensions")
+        object.__setattr__(self, "d_in", d_in)
+        object.__setattr__(self, "d_out", d_out)
         m = matkit.require_square(self.mat)
         if m.shape[0] != d_in * d_out:
             raise ValueError(f"Choi dimension {m.shape[0]} != {d_in}*{d_out}")
@@ -264,10 +259,9 @@ def superop_from_map(m) -> Superoperator:
         # (b, a) written straight into the superoperator's layout, with no Choi matrix.
         ops = m.kraus
         s4 = ops.conj().transpose(1, 2, 0)[:, None] @ ops.transpose(1, 0, 2)[None]
-        return Superoperator(s4.reshape(m.d_out ** 2, m.d_in ** 2), d_in=m.d_in,
-                             d_out=m.d_out, _owned=True)
+        return Superoperator(s4.reshape(m.d_out ** 2, m.d_in ** 2), _owned=True)
     if isinstance(m, ChoiMatrix):
-        return Superoperator(_reshuffle(m), d_in=m.d_in, d_out=m.d_out, _owned=True)
+        return Superoperator(_reshuffle(m), _owned=True)
     raise TypeError(f"not a map form: {type(m).__name__}")
 
 
@@ -299,10 +293,10 @@ def kraus_from_choi(c: ChoiMatrix, tol: Tolerances = DEFAULT_TOL) -> KrausChanne
         raise NotCPError(f"Choi eigenvalue {-excess:.3e} < 0: map is not CP")
     keep = tol.support(w)
     if not keep.any():
-        return KrausChannel(np.zeros((1, c.d_out, c.d_in)), d_in=c.d_in, d_out=c.d_out)
+        return KrausChannel(np.zeros((1, c.d_out, c.d_in)))
     # Column k of v is vec(K_k / sqrt(w_k)) in the Choi's input (x) output order.
     ops = (v[:, keep] * np.sqrt(w[keep])).T.reshape(-1, c.d_in, c.d_out).transpose(0, 2, 1)
-    return KrausChannel(ops, d_in=c.d_in, d_out=c.d_out)
+    return KrausChannel(ops)
 
 
 def compose(f, g):
@@ -313,19 +307,18 @@ def compose(f, g):
     if isinstance(f, KrausChannel) and isinstance(g, KrausChannel):
         # Operator (i, j) is F_i G_j, in row-major order over (i, j).
         ops = (f.kraus[:, None] @ g.kraus[None, :]).reshape(-1, f.d_out, g.d_in)
-        return KrausChannel(ops, d_in=g.d_in, d_out=f.d_out)
+        return KrausChannel(ops)
     sf, sg = superop_from_map(f), superop_from_map(g)
-    return Superoperator(sf.mat @ sg.mat, d_in=g.d_in, d_out=f.d_out, _owned=True)
+    return Superoperator(sf.mat @ sg.mat, _owned=True)
 
 
 def adjoint(m):
     """Trace-pairing dual: tr(apply(m, rho) F) == tr(rho apply(adjoint(m), F)) for all rho, F."""
     if isinstance(m, KrausChannel):
-        return KrausChannel(m.kraus.conj().transpose(0, 2, 1), d_in=m.d_out, d_out=m.d_in)
+        return KrausChannel(m.kraus.conj().transpose(0, 2, 1))
     # adjoint(E)(|a><b|)[i, j] = E(|j><i|)[b, a]: reverse all four superoperator indices.
     dual = _tensor(superop_from_map(m)).transpose(3, 2, 1, 0)
-    return Superoperator(dual.reshape(m.d_in ** 2, m.d_out ** 2), d_in=m.d_out, d_out=m.d_in,
-                         _owned=True)
+    return Superoperator(dual.reshape(m.d_in ** 2, m.d_out ** 2), _owned=True)
 
 
 def pullback_povm(m, p):
@@ -353,26 +346,25 @@ def pullback_povm(m, p):
 
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(np.eye(d, dtype=complex)[None], d_in=d, d_out=d)
+    return KrausChannel(np.eye(d, dtype=complex)[None])
 
 
 def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     """Conjugation by a unitary, validated as such."""
     m = matkit.require_square(u)
-    d = m.shape[0]
     if not tol.is_complete(dagger(m) @ m):
         raise ValueError("operator is not unitary within tolerance")
-    return KrausChannel(m[None], d_in=d, d_out=d)
+    return KrausChannel(m[None])
 
 
 def transpose_superoperator(d: int) -> Superoperator:
     """The positive but not completely positive map rho -> rho^T."""
     # vec(rho^T) is vec(rho) with its two d-dimensional index factors swapped.
     swap = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
-    return Superoperator(swap.reshape(d * d, d * d), d_in=d, d_out=d)
+    return Superoperator(swap.reshape(d * d, d * d))
 
 
 def completely_depolarizing(d: int) -> KrausChannel:
     """rho -> tr(rho) I/d."""
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return KrausChannel(units / np.sqrt(d), d_in=d, d_out=d)
+    return KrausChannel(units / np.sqrt(d))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import os
 import sys
 
@@ -90,7 +89,7 @@ def cmd_fuse(args, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _outcome_record(inst: Instrument, label: str, tol: Tolerances) -> dict:
+def _outcome_record(inst: Instrument, label: str) -> dict:
     """Outcome `label` of `inst` split by the lemma: its effect, E's Kraus
     operators, the premise report, the reconstruction residual and B's Kraus rank."""
     channel = inst.channel(label)
@@ -101,11 +100,11 @@ def _outcome_record(inst: Instrument, label: str, tol: Tolerances) -> dict:
             "conditional_kraus": serialize.matrix_payload(rec.kraus),
             "premise": rec.premise.to_dict(),
             "reconstruction_residual": rec.reconstruction_residual,
-            "kraus_rank": decomposition.kraus_rank(channel, tol)}
+            "kraus_rank": decomposition.kraus_rank(channel, inst.tol)}
 
 
 def cmd_decompose(args, tol: Tolerances) -> int:
-    record = _outcome_record(_load(args.instrument, Instrument, tol), args.label, tol)
+    record = _outcome_record(_load(args.instrument, Instrument, tol), args.label)
     _report({"command": "decompose", **record})
     _say(f"outcome {args.label!r}: reconstruction residual "
          f"{record['reconstruction_residual']:.3e}")
@@ -188,7 +187,7 @@ def cmd_suite(args, tol: Tolerances) -> int:
 
 def cmd_demo(args, tol: Tolerances) -> int:
     if args.which == "correlated-env":
-        rep = harness.correlated_env_demo(tol)
+        rep = harness.correlated_env_demo()
         fields = {name: serialize.matrix_payload(value) if isinstance(value, np.ndarray)
                   else value for name, value in vars(rep).items()}
         _report({"command": "demo", "which": args.which, **fields})
@@ -200,7 +199,7 @@ def cmd_demo(args, tol: Tolerances) -> int:
         inst = harness.stern_gerlach_demo(tol=tol)
     else:
         inst = harness.atom_demo(tol)
-    outcomes = [_outcome_record(inst, label, tol) for label in inst.labels]
+    outcomes = [_outcome_record(inst, label) for label in inst.labels]
     _report({"command": "demo", "which": args.which, "outcomes": outcomes})
     for info in outcomes:
         _say(f"outcome {info['label']}: kraus rank {info['kraus_rank']}, "
@@ -279,31 +278,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dashed_label_operands(argv: list[str]) -> list[str]:
-    """`argv` with a `decompose` label that begins with '-' (such as the
-    stern-gerlach "-z") read as an operand: the options, then "--", then the
-    operands in their order.  `decompose`'s only single-dash option is -h, so
-    any other word that begins with one '-' is an operand; a word that begins
-    with "--" stays an option, and an unknown one is still a usage error."""
-    if argv[:1] != ["decompose"] or "--" in argv:
-        return argv
-    options, operands = [], []
-    words = iter(argv[1:])
+def _argv_for_parser(argv: list[str]) -> list[str]:
+    """`argv` as `build_parser` reads it.  Each `--tol`/`--rank-tol` word (or an
+    abbreviation) before any "--" is joined with the next word as `--tol=VALUE`,
+    so that a value such as -0e0 is not taken for an option.  Then a `decompose`
+    label that begins with '-' (the stern-gerlach "-z") is made an operand: the
+    options, then "--", then the operands.  `decompose`'s only single-dash option
+    is -h, so any other word that begins with one '-' is an operand; a word that
+    begins with "--" stays an option, and an unknown one is a usage error."""
+    joined = []
+    words = iter(argv)
     for word in words:
-        if word == "-h" or word.startswith("--"):
-            options.append(word)
-            if "=" not in word and any(o.startswith(word) for o in ("--tol", "--rank-tol")):
-                options.extend(itertools.islice(words, 1))  # the option's value
+        name, eq, value = word.partition("=")
+        if word == "--":
+            joined += [word, *words]
+        elif len(name) > 2 and any(o.startswith(name) for o in ("--tol", "--rank-tol")):
+            if not eq:
+                value = next(words, "--")
+            # argparse would drop a "--" value: the option then has none, which it reports.
+            joined += [name, "--"] if value == "--" else [f"{name}={value}"]
         else:
-            operands.append(word)
-    if not any(word.startswith("-") for word in operands):
-        return argv
-    return ["decompose", *options, "--", *operands]
+            joined.append(word)
+    operands = [w for w in joined[1:] if w != "-h" and not w.startswith("--")]
+    if joined[:1] != ["decompose"] or "--" in joined or not any(w[:1] == "-" for w in operands):
+        return joined
+    return ["decompose", *[w for w in joined[1:] if w not in operands], "--", *operands]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_dashed_label_operands(argv))
+    args = build_parser().parse_args(_argv_for_parser(argv))
     tol = Tolerances(eps=args.tol, rank_tol_factor=args.rank_tol)
     try:
         return args.func(args, tol)

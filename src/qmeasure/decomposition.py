@@ -124,7 +124,7 @@ def _conditional_channel(b: KrausChannel, f: Effect) -> KrausChannel:
     block = ops[n:].reshape(len(bras), d_out, d_out, d)  # a view: writes land in ops
     rows = np.arange(d_out)
     block[:, rows, rows, :] = bras[:, None, :] / np.sqrt(d_out)
-    return KrausChannel(ops, d_in=d, d_out=d_out)
+    return KrausChannel(ops)
 
 
 def decompose(b: KrausChannel, f: Effect) -> Decomposition:

@@ -201,8 +201,8 @@ def induced_povm(inst: Instrument) -> Povm:
 
 def luders_from_povm(p: Povm) -> Instrument:
     """Ideal instrument for a POVM: outcome maps rho -> sqrt(F) rho sqrt(F)."""
-    return Instrument(tuple((label, KrausChannel(eff.root[None], d_in=p.dim, d_out=p.dim))
-                            for label, eff in p.outcomes), p.tol)
+    return Instrument(tuple((label, KrausChannel(eff.root[None])) for label, eff in p.outcomes),
+                      p.tol)
 
 
 def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrument:
@@ -218,10 +218,8 @@ def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrume
         raise ValueError(
             "measurement operators are incomplete: residual %.3e exceeds %.3e" % violation)
     labels = _labels_for(labels, len(mats), "measurement operators")
-    outs = tuple(
-        (label, KrausChannel(m[None], d_in=m.shape[1], d_out=m.shape[0]))
-        for label, m in zip(labels, mats))
-    return Instrument(outs, tol)
+    return Instrument(tuple((label, KrausChannel(m[None])) for label, m in zip(labels, mats)),
+                      tol)
 
 
 def from_effect_channel_pairs(pairs, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrument:
@@ -242,8 +240,7 @@ def from_effect_channel_pairs(pairs, labels=None, tol: Tolerances = DEFAULT_TOL)
             raise ValueError(f"channel input {ch.d_in} does not match effect dimension {effect.dim}")
         if not ch.is_trace_preserving(tol):
             raise ValueError(f"conditional channel for outcome {label!r} is not trace preserving")
-        outs.append((label,
-                     KrausChannel(ch.kraus @ effect.root, d_in=effect.dim, d_out=ch.d_out)))
+        outs.append((label, KrausChannel(ch.kraus @ effect.root)))
     return Instrument(tuple(outs), tol)
 
 

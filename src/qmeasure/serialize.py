@@ -312,19 +312,19 @@ def parse_text(text: str) -> dict:
     if kind == "kraus_channel":
         d_in, d_out = _require_dims(doc)
         ops = _parse_kraus_list(data.get("kraus"), (d_out, d_in), "kraus", fast)
-        return {"kind": kind, "d_in": d_in, "d_out": d_out, "kraus": ops}
+        return {"kind": kind, "kraus": ops}
 
     if kind == "superoperator":
         d_in, d_out = _require_dims(doc)
         mat = _shaped_matrix(data.get("mat"), "mat", (d_out * d_out, d_in * d_in), fast)
-        return {"kind": kind, "d_in": d_in, "d_out": d_out, "mat": mat}
+        return {"kind": kind, "mat": mat}
 
     if kind == "instrument":
         d_in, d_out = _require_dims(doc)
         parsed = [(entry["label"], _parse_kraus_list(entry.get("kraus"), (d_out, d_in),
                                                      f"outcomes[{idx}].kraus", fast))
                   for idx, entry in enumerate(_outcome_entries(data))]
-        return {"kind": kind, "d_in": d_in, "d_out": d_out, "outcomes": parsed}
+        return {"kind": kind, "outcomes": parsed}
 
     raise ParseError(f"unknown kind {kind!r}")
 
@@ -337,14 +337,12 @@ def build(parsed: dict, tol: Tolerances = DEFAULT_TOL):
     if kind == "povm":
         return Povm.from_effects(parsed["mats"], labels=parsed["labels"], tol=tol)
     if kind == "kraus_channel":
-        return KrausChannel(parsed["kraus"], d_in=parsed["d_in"], d_out=parsed["d_out"])
+        return KrausChannel(parsed["kraus"])
     if kind == "superoperator":
-        return Superoperator(parsed["mat"], d_in=parsed["d_in"], d_out=parsed["d_out"])
+        return Superoperator(parsed["mat"])
     if kind == "instrument":
-        outs = tuple(
-            (label, KrausChannel(ops, d_in=parsed["d_in"], d_out=parsed["d_out"]))
-            for label, ops in parsed["outcomes"])
-        return Instrument(outs, tol)
+        return Instrument(tuple((label, KrausChannel(ops)) for label, ops in parsed["outcomes"]),
+                          tol)
     raise ParseError(f"unknown kind {kind!r}")
 
 

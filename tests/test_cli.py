@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qmeasure
@@ -150,20 +150,29 @@ def float_texts():
 @settings(deadline=None, max_examples=300)
 @given(raw=float_texts(),
        option=st.sampled_from([("--tol", "eps"), ("--rank-tol", "rank_tol_factor")]))
+@example(raw="-0e0", option=("--rank-tol", "rank_tol_factor"))
+@example(raw="-1e-9", option=("--tol", "eps"))
+@example(raw="--", option=("--tol", "eps"))
 def test_a_tolerance_option_is_a_usage_error_exactly_when_tolerances_refuse_its_value(raw,
                                                                                      option):
+    """As "--tol=VALUE" and as "--tol VALUE", which main's argv pass joins, so that
+    a value such as "-0e0" or "-1e-9" is not read as an option.  A value of "--"
+    is reported missing: argparse drops it from the option's value."""
     flag, field = option
     try:
         expected = float(raw)
         Tolerances(**{field: expected})
     except ValueError:
         expected = None
-    # "--tol=VALUE", so that argparse cannot read a value such as "-0e0" as an option.
-    parsed = parsed_or_usage_error(["verify", "x.json", f"{flag}={raw}"])
-    if expected is None:
-        assert f"error: argument {flag}: bad {flag} value {raw!r}: " in parsed
-    else:
-        assert repr(getattr(parsed, flag[2:].replace("-", "_"))) == repr(expected)
+    error = (f"error: argument {flag}: expected one argument" if raw == "--" else
+             f"error: argument {flag}: bad {flag} value {raw!r}: ")
+    for argv in (["verify", "x.json", f"{flag}={raw}"], ["verify", "x.json", flag, raw],
+                 ["decompose", "x.json", "-z", flag, raw]):
+        parsed = parsed_or_usage_error(cli._argv_for_parser(argv))
+        if expected is None:
+            assert error in parsed
+        else:
+            assert repr(getattr(parsed, flag[2:].replace("-", "_"))) == repr(expected)
 
 
 def dims_texts():
@@ -772,8 +781,12 @@ def test_suite_takes_a_seed_from_0_and_rejects_a_negative_one_as_a_usage_error(c
 
 
 def test_suite_runs_under_the_tolerance_its_option_sets(capsys):
-    assert main(["suite", "nosignal", "--trials", "1", "--tol", "1e-30"]) == 2
-    assert error_record(capsys, 2)["error"].startswith("ValueError: ")
+    """At --tol 1e-30 each suite's first generated object fails its constructor's
+    check; the record names the suite, trial and seed, so that trial can be rerun."""
+    for suite in ("nosignal", "linearity", "lemma"):
+        assert main(["suite", suite, "--trials", "1", "--tol", "1e-30"]) == 2
+        error = error_record(capsys, 2)["error"]
+        assert error.startswith(f"ValueError: suite {suite} trial 0 (seed 42): ")
 
 
 def test_suite_reports_are_seed_stable(capsys):

@@ -176,7 +176,7 @@ def test_decompose_gates_trace_preservation_at_eps_times_d(monkeypatch):
     build = decomposition._conditional_channel
     # E scaled by 1.1 has sum E†E = 1.21 I: a residual of 0.21 against 3e-9
     monkeypatch.setattr(decomposition, "_conditional_channel",
-                        lambda b, f: KrausChannel(1.1 * build(b, f).kraus, d_in=3, d_out=3))
+                        lambda b, f: KrausChannel(1.1 * build(b, f).kraus))
     with pytest.raises(ArithmeticError) as raised:
         decompose(b, f)
     assert str(raised.value) == ("decomposition is not trace preserving: "
@@ -321,7 +321,7 @@ def test_reconstruction_residual_matches_a_per_state_loop_and_sees_a_perturbed_m
     assert per_state_reconstruction_residual(b, f, e) <= 1e-9 * d
     ops = np.array(e.kraus)
     ops[0] *= 1 + 1e-6  # the first compressed operator of B
-    bad = KrausChannel(ops, d_in=d, d_out=d)
+    bad = KrausChannel(ops)
     for seed in (11, 3):
         residual = reconstruction_residual(b, f, bad, seed=seed)
         assert residual > 1e-9 * d
@@ -384,7 +384,7 @@ def test_the_lemma_path_takes_each_spectral_split_of_f_once(monkeypatch):
                         lambda a, *rest: decomposed.append(np.array(a)) or eigh_desc(a, *rest))
     rng = np.random.default_rng(19)
     f = harness.random_effect(3, rng, zero_eigenvalues=1)
-    b = KrausChannel(harness.random_cptp(3, 3, 2, rng).kraus @ f.root, d_in=3, d_out=3)
+    b = KrausChannel(harness.random_cptp(3, 3, 2, rng).kraus @ f.root)
     f = Effect(f.mat, f.tol)  # a fresh effect: its split is taken below
     calls.update(psd_support=0, psd_sqrt=0)
     decomposed.clear()
@@ -427,7 +427,7 @@ def test_kernel_block_on_the_eigenvectors_of_f_is_the_reference_channel(d):
     w, v = f.spectrum
     vk = v[:, w <= f.tol.rank_cutoff(float(w.max()))]
     assert vk.shape[1] == d // 2
-    block = KrausChannel(e.kraus[len(b.kraus):], d_in=d, d_out=4)
+    block = KrausChannel(e.kraus[len(b.kraus):])
     rhos = np.stack([harness.random_density(d, rng).mat for _ in range(5)])
     weights = np.trace(vk.conj().T @ rhos @ vk, axis1=-2, axis2=-1)
     np.testing.assert_allclose(apply_map(block, rhos),

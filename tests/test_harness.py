@@ -14,7 +14,8 @@ from qmeasure.harness import (basis_povm, check_ensemble_equivalence,
                               run_linearity_suite, run_nosignal_suite,
                               stern_gerlach_demo)
 from qmeasure.decomposition import decompose, kraus_rank, reconstruction_residual
-from qmeasure.measure import apply_instrument, fuse_sequential, induced_povm, luders_from_povm
+from qmeasure.measure import (apply_instrument, from_generalized, fuse_sequential,
+                              induced_povm, luders_from_povm)
 from qmeasure.states import BipartiteState, DensityOperator, Ensemble, mix, purify
 
 KET0 = np.array([1.0, 0.0])
@@ -48,6 +49,19 @@ def test_no_signaling_random_three_by_three():
     state = BipartiteState((3, 3), harness.random_density(9, rng))
     inst = harness.random_instrument(3, 2, 2, rng)
     assert check_no_signaling(state, inst).residual <= 1e-10
+
+
+def test_no_signaling_gate_allows_the_completeness_defect_the_instrument_was_built_with():
+    """sum K†K = diag(1 + 1.5e-9, 1) is within the instrument's eps * d = 2e-9, and
+    moves the marginal of |00> by exactly that defect, which is no signaling."""
+    k0 = np.diag([np.sqrt(1 + 0.9e-9), 0.0])
+    k1 = np.diag([np.sqrt(0.6e-9), 1.0])
+    inst = from_generalized([k0, k1])
+    state = BipartiteState.from_vector(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2))
+    report = check_no_signaling(state, inst)
+    assert report.residual > 1e-9
+    assert abs(report.residual - 1.5e-9) <= 1e-15
+    assert report.passed
 
 
 def tensor_product_marginal_gap(state, outcomes):

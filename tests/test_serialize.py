@@ -265,10 +265,10 @@ def test_channels_with_transposed_kraus_stacks_round_trip():
 def test_maps_built_with_numpy_or_float_dimensions_write_int_dims(cast):
     ch = harness.random_cptp(2, 3, 2, np.random.default_rng(33))
     d_in, d_out = cast(2), cast(3)
-    kraus = KrausChannel(ch.kraus, d_in=d_in, d_out=d_out)
+    kraus = KrausChannel(ch.kraus)
     choi = ChoiMatrix(choi_from_map(ch).mat, d_in=d_in, d_out=d_out)
     cases = [(kraus, ch),
-             (Superoperator(superop_from_map(ch).mat, d_in=d_in, d_out=d_out),
+             (Superoperator(superop_from_map(ch).mat),
               superop_from_map(ch)),
              (superop_from_map(choi), superop_from_map(choi_from_map(ch))),
              (Instrument((("a", kraus),)), Instrument((("a", ch),)))]
@@ -283,8 +283,7 @@ def file_objects():
     channels = kraus.map(KrausChannel.from_ops)
     superops = st.integers(1, 2).flatmap(lambda d: st.lists(
         FINITE, min_size=2 * d ** 4, max_size=2 * d ** 4).map(
-        lambda v, d=d: Superoperator(np.array(v).view(np.complex128).reshape(d * d, d * d),
-                                     d_in=d, d_out=d)))
+        lambda v, d=d: Superoperator(np.array(v).view(np.complex128).reshape(d * d, d * d))))
     return st.one_of(channels, superops)
 
 

@@ -72,7 +72,7 @@ def pullback(m):
     p = np.diag([1.0, 0.0, 0.0, 0.0])
     z = np.diag([1.0] + [-1.0 / (D - 1)] * (D - 1))
     x = m - p
-    phi = Superoperator(np.eye(D * D) + np.outer(vec(z), vec(x.T)), d_in=D, d_out=D)
+    phi = Superoperator(np.eye(D * D) + np.outer(vec(z), vec(x.T)))
     pullback_povm(phi, Povm.from_effects([p, np.eye(D) - p], labels=["p", "rest"]))
 
 
