@@ -76,7 +76,7 @@ class KrausChannel:
         if ops.ndim != 3 or 0 in ops.shape:
             raise ValueError(f"Kraus operators must stack to a shape (n, d_out, d_in) "
                              f"of positive sizes, got {ops.shape}")
-        if not np.all(np.isfinite(ops)):
+        if not np.isfinite(ops).all():
             raise ValueError("Kraus operators contain NaN or Inf entries")
         ops.setflags(write=False)
         object.__setattr__(self, "kraus", ops)

@@ -49,8 +49,9 @@ def _load(path: str, wanted, tol: Tolerances):
     if not isinstance(obj, wanted):
         names = wanted.__name__ if isinstance(wanted, type) else \
             "/".join(w.__name__ for w in wanted)
+        article = "an" if names[0] in "AEIOU" else "a"
         raise serialize.ParseError(
-            f"{path}: expected a {names} file, got {type(obj).__name__}")
+            f"{path}: expected {article} {names} file, got {type(obj).__name__}")
     return obj
 
 
@@ -179,6 +180,9 @@ def cmd_suite(args, tol: Tolerances) -> int:
         else:
             rep = harness.run_lemma_suite(seed=seed, tol=tol, **sizes)
         reports.append(rep)
+    # Reported only once every suite has run, so that a suite that raises leaves
+    # the error record as the run's one record.
+    for rep in reports:
         _report(rep.to_dict())
         status = "pass" if rep.passed else f"FAIL ({len(rep.witnesses)} witnesses)"
         _say(f"suite {rep.suite}: {status}, max residual {rep.max_residual:.3e}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel, apply_map, choi_from_map
 from .errors import PremiseViolatedError
-from .matkit import DEFAULT_TOL, Tolerances
+from .matkit import DEFAULT_TOL, Tolerances, spectral_norm
 from .measure import Effect
 
 RECONSTRUCTION_STATES = 20
@@ -58,7 +58,7 @@ def verify_premise(b: KrausChannel, f: Effect) -> PremiseReport:
         raise ValueError(f"map input dimension {b.d_in} != effect dimension {f.dim}")
     # For every state, |tr B(rho) - tr(rho F)| = |tr(rho (sum_i K_i†K_i - F))|
     #                                       <= ||rho||_1 ||sum_i K_i†K_i - F||_2.
-    trace_residual = float(np.linalg.norm(b.completeness() - f.mat, 2))
+    trace_residual = float(spectral_norm(b.completeness() - f.mat))
     if trace_residual > PREMISE_SLACK * f.tol.eps:
         raise PremiseViolatedError(
             f"tr(B(rho)) != tr(rho F): spectral residual {trace_residual:.3e}")
@@ -74,8 +74,8 @@ def verify_premise(b: KrausChannel, f: Effect) -> PremiseReport:
     # With P = V V† for an orthonormal basis V (V† V = I), ||K_i P||_F = ||K_i V||_F.
     on_kernel = np.linalg.norm(b.kraus @ supp.kernel_basis, axis=(1, 2))
     on_support = np.linalg.norm(b.kraus @ supp.support_basis, axis=(1, 2))
-    kernel_residual = float(np.sum(on_kernel ** 2))
-    cross_residual = float(2.0 * np.sum(on_support * on_kernel))
+    kernel_residual = float((on_kernel ** 2).sum())
+    cross_residual = float(2.0 * (on_support * on_kernel).sum())
     return PremiseReport(trace_residual, kernel_residual, cross_residual,
                          supp.support_basis.shape[1], borderline)
 
@@ -92,7 +92,7 @@ def reconstruction_residual(b: KrausChannel, f: Effect, e: KrausChannel,
     shape = (RECONSTRUCTION_STATES, d, d)
     g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rhos = g @ g.conj().swapaxes(-1, -2)
-    rhos /= np.trace(rhos, axis1=-2, axis2=-1).real[:, None, None]
+    rhos /= rhos.trace(axis1=-2, axis2=-1).real[:, None, None]
     delta = apply_map(b, rhos) - apply_map(e, root @ rhos @ root)
     # Trace norm of each gap: the sum of its singular values.
     return float(np.linalg.svd(delta, compute_uv=False).sum(axis=-1).max())

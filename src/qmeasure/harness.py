@@ -26,7 +26,7 @@ def random_density(d: int, rng, rank: int | None = None,
     r = d if rank is None else max(1, min(int(rank), d))
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     m = g @ dagger(g)
-    return DensityOperator(m / float(np.trace(m).real), tol)
+    return DensityOperator(m / float(m.trace().real), tol)
 
 
 def random_isometry(d_in: int, d_total: int, rng) -> np.ndarray:
@@ -104,7 +104,7 @@ def nonlinear_square_map(rho: DensityOperator) -> DensityOperator:
     expose it, which is why the witness hunt steers with coarse POVMs.
     """
     sq = rho.mat @ rho.mat
-    return DensityOperator(sq / float(np.trace(sq).real), rho.tol)
+    return DensityOperator(sq / float(sq.trace().real), rho.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def check_ensemble_equivalence(e1: Ensemble, e2: Ensemble, program,
     averages is returned as a signaling witness.
     """
     mix_diff = mix(e1).mat - mix(e2).mat
-    gap = float(np.max(np.abs(mix_diff)))
+    gap = float(np.abs(mix_diff).max())
     if gap > tol.eps:
         raise MixMismatchError(f"ensembles average to different states (gap {gap:.3e})")
     # A program of instruments gives each outcome sequence the probability tr(rho G)
@@ -260,7 +260,7 @@ def correlated_env_demo() -> CorrelatedEnvReport:
 
     half = np.eye(2) / 2.0
     initial_residual = max(
-        float(np.max(np.abs(reduced(psi, factor) - half)))
+        float(np.abs(reduced(psi, factor) - half).max())
         for psi in (psi1, psi2) for factor in (0, 1))
     post_first = reduced(u @ psi1, 0)
     post_second = reduced(u @ psi2, 0)

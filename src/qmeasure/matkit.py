@@ -44,7 +44,7 @@ class Tolerances:
         does not (it can be d times smaller).
         """
         m = np.asarray(total)
-        return float(np.linalg.norm(m - np.eye(m.shape[0]), 2))
+        return float(spectral_norm(m - np.eye(m.shape[0])))
 
     def completeness_violation(self, total) -> tuple[float, float] | None:
         """(residual, bound) when `total` (a sum of K†K or of effects) misses the
@@ -69,9 +69,10 @@ class Tolerances:
         within eps entrywise; the ValueError otherwise names `what`.  The part is
         a new array that nothing else references, returned read-only."""
         m = require_square(a)
-        if not is_hermitian(m, self.eps):
+        adj = m.conj().T  # one adjoint for the test and the Hermitian part
+        if not np.abs(m - adj).max() <= self.eps:
             raise ValueError(f"{what} is not Hermitian within tolerance")
-        h = hermitian_part(m)
+        h = (m + adj) / 2
         h.setflags(write=False)
         return h
 
@@ -97,7 +98,7 @@ def positive_ints(values, what: str) -> tuple[int, ...]:
 def _require_finite(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         raise ValueError("empty matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 
@@ -145,12 +146,18 @@ def hermitian_part(a) -> np.ndarray:
 
 def is_hermitian(a, eps: float) -> bool:
     m = np.asarray(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= eps)
+    return bool(np.abs(m - m.conj().T).max() <= eps)
 
 
 def trace_norm(a) -> float:
     """Trace norm ||A||_1 = sum of singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))
+    return float(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False).sum())
+
+
+def spectral_norm(a) -> np.floating:
+    """Spectral norm ||A||_2 of a matrix: its largest singular value.  This is the
+    reduction np.linalg.norm(a, 2) makes, without that function's axis handling."""
+    return np.linalg.svd(a, compute_uv=False).max(initial=0.0)
 
 
 class HermitianDecomposition(NamedTuple):
@@ -192,8 +199,11 @@ def eigh_desc(a, tol: Tolerances = DEFAULT_TOL) -> HermitianDecomposition:
 
 
 def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; composite row index is i_a * rows_b + i_b."""
-    return np.kron(require_matrix(a), require_matrix(b))
+    """Kronecker product; composite row index is i_a * rows_b + i_b.  It is the
+    one broadcast product np.kron makes, without its axis bookkeeping."""
+    ma, mb = require_matrix(a), require_matrix(b)
+    (ra, ca), (rb, cb) = ma.shape, mb.shape
+    return (ma[:, None, :, None] * mb[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def partial_trace(m, dims, keep: int) -> np.ndarray:

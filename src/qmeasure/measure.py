@@ -177,7 +177,7 @@ def probabilities(rho: DensityOperator, p: Povm) -> list[tuple[str, float]]:
     """Outcome distribution tr(rho F) over the POVM, clamped into [0, 1]."""
     if rho.dim != p.dim:
         raise ValueError(f"state dimension {rho.dim} != POVM dimension {p.dim}")
-    values = [float(np.trace(rho.mat @ eff.mat).real) for _, eff in p.outcomes]
+    values = [float((rho.mat @ eff.mat).trace().real) for _, eff in p.outcomes]
     # DensityOperator accepts |tr rho - 1| <= eps_r and eigenvalues >= -eps_r, at most
     # d - 1 of them negative, so ||rho||_1 <= tr rho + 2 (d - 1) eps_r <= 1 + (2d - 1) eps_r;
     # Povm accepts ||sum F - I||_2 <= eps d.  Hence, before clamping,
@@ -273,13 +273,13 @@ def branch_state(unnormalized, probability: float,
         if not -(tol.eps + noise) <= w[0] < 0.0:
             raise
     mat = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return DensityOperator(mat / float(np.trace(mat).real), tol)
+    return DensityOperator(mat / float(mat.trace().real), tol)
 
 
 def branch(unnormalized, tol: Tolerances = DEFAULT_TOL) -> tuple[float, DensityOperator | None]:
     """One branch of an unnormalized output: its trace, clamped into [0, 1], and
     its normalized state, which is None at or below P_FLOOR."""
-    prob = min(max(float(np.trace(unnormalized).real), 0.0), 1.0)
+    prob = min(max(float(np.asarray(unnormalized).trace().real), 0.0), 1.0)
     if prob <= P_FLOOR:
         return prob, None
     return prob, branch_state(unnormalized, prob, tol)

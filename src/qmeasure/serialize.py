@@ -203,7 +203,7 @@ def _matrix_at_once(node) -> np.ndarray | None:
     if a.dtype.kind not in "fiu" or a.ndim != 3 or a.shape[2] != 2 or 0 in a.shape:
         return None
     mat = np.ascontiguousarray(a, dtype=np.float64).view(np.complex128)[..., 0]
-    return mat if np.all(np.isfinite(mat)) else None
+    return mat if np.isfinite(mat).all() else None
 
 
 def _shaped_matrix(node, what: str, shape: tuple[int, int], fast: bool) -> np.ndarray:
@@ -235,7 +235,7 @@ def _shaped_matrix(node, what: str, shape: tuple[int, int], fast: bool) -> np.nd
                     raise ParseError(f"{what}: number literal is not a finite float") from None
             rows.append(entries)
         mat = np.array(rows, dtype=complex)
-        if not np.all(np.isfinite(mat)):  # a float literal such as 1e400 reads as inf
+        if not np.isfinite(mat).all():  # a float literal such as 1e400 reads as inf
             raise ParseError(f"{what}: number literal is not a finite float")
     if mat.shape != shape:
         raise ParseError(f"{what}: shape {mat.shape} does not match {shape}")

@@ -38,7 +38,7 @@ class DensityOperator:
         if excess is not None:
             raise ValueError(
                 f"density operator has negative eigenvalue {-excess:.3e} (eps = {eps:.3e})")
-        defect = abs(complex(np.trace(m)) - 1.0)
+        defect = abs(complex(m.trace()) - 1.0)
         if defect > eps:
             raise ValueError(
                 f"density operator trace differs from 1 by {defect:.3e} (eps = {eps:.3e})")
@@ -53,7 +53,7 @@ class DensityOperator:
         return cls(density_matrix_from(np.asarray(psi, dtype=complex).reshape(-1)), tol)
 
     def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
+        return float((self.mat @ self.mat).trace().real)
 
     def is_pure(self) -> bool:
         return abs(self.purity() - 1.0) <= 10 * self.tol.eps
@@ -73,9 +73,9 @@ class Ensemble:
         if len(dims) != 1:
             raise ValueError(f"ensemble members live on different dimensions: {sorted(dims)}")
         weights = np.array([w for w, _ in self.members], dtype=float)
-        if not np.all(np.isfinite(weights)):
+        if not np.isfinite(weights).all():
             raise ValueError("ensemble weights must be finite")
-        if np.any(weights < -self.tol.eps):
+        if (weights < -self.tol.eps).any():
             raise ValueError("ensemble weights must be nonnegative")
         defect = abs(float(weights.sum()) - 1.0)
         if defect > self.tol.eps:
@@ -181,7 +181,7 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
 
     rho_b = psi.reduced(1)
     avg = mix(target)
-    mismatch = float(np.max(np.abs(avg.mat - rho_b.mat)))
+    mismatch = float(np.abs(avg.mat - rho_b.mat).max())
     if mismatch > tol.eps:
         raise TargetMismatchError(f"target ensemble misses the reduced state by {mismatch:.3e}")
 
@@ -191,7 +191,7 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
     rank = int(tol.support(s ** 2).sum())
     kernel_rows = vh[rank:]
     for idx, (_, member) in enumerate(target.members):
-        leak = float(np.trace(kernel_rows.conj() @ member.mat @ kernel_rows.T).real)
+        leak = float((kernel_rows.conj() @ member.mat @ kernel_rows.T).trace().real)
         if leak > tol.eps:
             raise UnsupportedMemberError(f"member {idx} leaves the support (leak {leak:.3e})")
 
@@ -209,7 +209,7 @@ def steering_povm(psi: BipartiteState, target: Ensemble):
 
     povm = Povm.from_effects(effects, tol=tol)
     for eff, (weight, member) in zip(povm.effects, target.members):
-        err = float(np.max(np.abs(psi.steered(eff.mat) - weight * member.mat)))
+        err = float(np.abs(psi.steered(eff.mat) - weight * member.mat).max())
         if err > tol.eps:
             raise RuntimeError(f"steering construction failed verification ({err:.3e})")
     return povm

@@ -428,6 +428,22 @@ def test_fuse_wrong_kind_exits_1(tmp_path, capsys):
     assert f1 in error_record(capsys, 1)["error"]
 
 
+@pytest.mark.parametrize("command, wanted", [
+    ("decompose", "an Instrument"),
+    ("probs-measurement", "a Povm/Instrument"),
+    ("probs-state", "a DensityOperator"),
+])
+def test_a_wrong_kind_of_file_is_named_with_its_article(command, wanted, tmp_path, capsys):
+    channel = write(tmp_path / "channel.json", KrausChannel.from_ops([np.eye(2)]))
+    rho = write(tmp_path / "rho.json", plus_state())
+    argv = {"decompose": ["decompose", channel, "0"],
+            "probs-measurement": ["probs", rho, channel],
+            "probs-state": ["probs", channel, write(tmp_path / "povm.json", z_povm())]}
+    assert main(argv[command]) == 1
+    error = error_record(capsys, 1)["error"]
+    assert error == f"ParseError: {channel}: expected {wanted} file, got KrausChannel"
+
+
 def test_output_in_a_missing_directory_exits_1(tmp_path, capsys):
     inst = write(tmp_path / "inst.json", luders_from_povm(z_povm()))
     ch = write(tmp_path / "ch.json", KrausChannel.from_ops([np.eye(2)]))
@@ -795,6 +811,27 @@ def test_suite_reports_are_seed_stable(capsys):
     assert main(["suite", "nosignal", "--trials", "10", "--seed", "1"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_suite_all_reports_after_every_suite_has_run(capsys, monkeypatch):
+    """A suite that raises after others have passed leaves the error record as
+    the run's one record, and its stderr line as the one line."""
+    def broken(**kwargs):
+        raise ValueError("suite lemma trial 0 (seed 1): planted failure")
+
+    monkeypatch.setattr(harness, "run_lemma_suite", broken)
+    assert main(["suite", "all", "--trials", "1", "--seed", "1"]) == 2
+    record = error_record(capsys, 2)
+    assert record["error"] == "ValueError: suite lemma trial 0 (seed 1): planted failure"
+
+
+def test_suite_all_prints_each_report_in_suite_order(capsys):
+    assert main(["suite", "all", "--trials", "1", "--seed", "1"]) == 0
+    out = capsys.readouterr()
+    records = [json.loads(line) for line in out.out.splitlines()]
+    assert [r["suite"] for r in records] == ["nosignal", "linearity", "lemma"]
+    assert [line.split(":")[0] for line in out.err.splitlines()] == [
+        "suite nosignal", "suite linearity", "suite lemma"]
 
 
 def test_suite_out_of_memory_exits_2_with_a_record(capsys, monkeypatch):
