@@ -82,10 +82,9 @@ def cmd_fuse(args, tol: Tolerances) -> int:
     fused = fuse_sequential(_load(args.first, Instrument, tol),
                             _load(args.second, Instrument, tol))
     serialize.write_file(args.out, fused)
-    omega = induced_povm(fused)
     _report({"command": "fuse", "out": args.out,
              "effects": [{"label": label, "mat": serialize.matrix_payload(eff.mat)}
-                         for label, eff in omega.outcomes]})
+                         for label, eff in fused.povm.outcomes]})
     _say(f"wrote fused instrument with outcomes {list(fused.labels)} to {args.out}")
     return EXIT_OK
 

@@ -25,8 +25,8 @@ RECONSTRUCTION_STATES = 20
 """Random states `reconstruction_residual` samples the two maps on."""
 
 PREMISE_SLACK = 10.0
-"""Premise residuals may exceed eps by this factor before raising; two
-spectral decompositions feed the construction."""
+"""`verify_premise` raises when ||sum K†K - F||_2 exceeds PREMISE_SLACK * eps: a
+fixed 10 eps at every dimension, where the completeness checks use eps * d."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,8 @@ def decompose(b: KrausChannel, f: Effect) -> Decomposition:
 
 
 def kraus_rank(b: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of significant Choi eigenvalues; 1 exactly for single-operator maps."""
+    """Number of significant Choi eigenvalues: at most the number of Kraus
+    operators, 1 for a single nonzero operator and 0 for the zero map."""
     # The spectrum comes from the n x n Gram matrix of the Kraus operators
     # (ChoiMatrix.eigenvalues).  The dense d_in*d_out Choi matrix is still built
     # (about 3 ms of 3.4-4.4 at d=32): it keeps the spectrum tied to one

@@ -3,6 +3,7 @@ states, and fusion of successive measurements into a single one."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import channels, matkit
 from .channels import KrausChannel, apply_map
-from .matkit import DEFAULT_TOL, Tolerances, dagger
+from .matkit import DEFAULT_TOL, Tolerances
 from .states import DensityOperator
 
 P_FLOOR = 1e-12
@@ -83,7 +84,9 @@ class Povm:
             raise ValueError("POVM needs at least one outcome")
         outcomes = tuple((str(label), eff) for label, eff in self.outcomes)
         if len({label for label, _ in outcomes}) != len(outcomes):
-            raise ValueError("POVM outcome labels must be unique")
+            counts = Counter(label for label, _ in outcomes)
+            repeat = next(label for label, n in counts.items() if n > 1)
+            raise ValueError(f"POVM outcome labels must be unique ({repeat!r} repeats)")
         dims = {eff.dim for _, eff in outcomes}
         if len(dims) != 1:
             raise ValueError("POVM effects live on different dimensions")
@@ -124,7 +127,10 @@ class Instrument:
     """Outcome-labelled CP maps whose total is trace preserving.
 
     `povm` is the induced POVM (per outcome, F = sum K† K), built once here, so
-    an instrument that constructs always induces a POVM.
+    an instrument that constructs always induces a POVM.  That POVM checks the
+    outcome set (at least one outcome, unique labels) and the total; the
+    instrument checks only what its POVM cannot see: that the maps share their
+    dimensions, and which outcome's effect leaves [0, 1].
     """
 
     outcomes: tuple[tuple[str, KrausChannel], ...]
@@ -132,14 +138,8 @@ class Instrument:
     povm: Povm = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.outcomes:
-            raise ValueError("instrument needs at least one outcome")
         outcomes = tuple((str(label), ch) for label, ch in self.outcomes)
-        if len({label for label, _ in outcomes}) != len(outcomes):
-            raise ValueError("instrument outcome labels must be unique")
-        d_ins = {ch.d_in for _, ch in outcomes}
-        d_outs = {ch.d_out for _, ch in outcomes}
-        if len(d_ins) != 1 or len(d_outs) != 1:
+        if len({(ch.d_in, ch.d_out) for _, ch in outcomes}) > 1:
             raise ValueError("instrument outcome maps must share input and output dimensions")
         effects = []
         for label, ch in outcomes:
@@ -150,7 +150,7 @@ class Instrument:
         try:
             povm = Povm(tuple(effects), self.tol)
         except ValueError as exc:
-            raise ValueError(f"instrument total trace: {exc}") from None
+            raise ValueError(f"instrument's {exc}") from None
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "povm", povm)
 
@@ -208,15 +208,10 @@ def luders_from_povm(p: Povm) -> Instrument:
 def from_generalized(ms, labels=None, tol: Tolerances = DEFAULT_TOL) -> Instrument:
     """Instrument of measurement operators {M}: outcome maps rho -> M rho M†.
 
-    Requires the completeness relation sum M† M = I.
+    Requires the completeness relation sum M† M = I, which the instrument's
+    induced POVM checks.
     """
     mats = [matkit.require_matrix(m) for m in ms]
-    if not mats:
-        raise ValueError("at least one measurement operator is required")
-    violation = tol.completeness_violation(sum(dagger(m) @ m for m in mats))
-    if violation:
-        raise ValueError(
-            "measurement operators are incomplete: residual %.3e exceeds %.3e" % violation)
     labels = _labels_for(labels, len(mats), "measurement operators")
     return Instrument(tuple((label, KrausChannel(m[None])) for label, m in zip(labels, mats)),
                       tol)

@@ -421,6 +421,20 @@ def test_fuse_dimension_mismatch_exits_2(tmp_path, capsys):
     assert "cannot chain" in error_record(capsys, 2)["error"]
 
 
+def test_fuse_label_collision_exits_2_and_names_the_label(tmp_path, capsys):
+    # "x·y" then "z", and "x" then "y·z", both fuse to "x·y·z".
+    x_povm = Povm.from_effects([np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])],
+                               labels=["z", "y·z"])
+    f1 = write(tmp_path / "a.json",
+               luders_from_povm(Povm.from_effects(z_povm().effects, labels=["x·y", "x"])))
+    f2 = write(tmp_path / "b.json", luders_from_povm(x_povm))
+    out = tmp_path / "c.json"
+    assert main(["fuse", f1, f2, "--out", str(out)]) == 2
+    assert error_record(capsys, 2)["error"] == (
+        "ValueError: instrument's POVM outcome labels must be unique ('x·y·z' repeats)")
+    assert not out.exists()
+
+
 def test_fuse_wrong_kind_exits_1(tmp_path, capsys):
     f1 = write(tmp_path / "rho.json", plus_state())
     f2 = write(tmp_path / "inst.json", luders_from_povm(z_povm()))

@@ -199,7 +199,8 @@ def test_kraus_rank_single_operator():
 
 def test_kraus_rank_takes_no_spectrum_larger_than_n_by_n(monkeypatch):
     rng = np.random.default_rng(4)
-    channels = [(harness.random_cptp(3, 2, 2, rng), 2), (harness.random_cptp(64, 64, 4, rng), 4)]
+    channels = [(harness.random_cptp(3, 2, 2, rng), 2), (harness.random_cptp(64, 64, 4, rng), 4),
+                (KrausChannel(np.zeros((1, 2, 2))), 0)]
     choi_calls, shapes = [], []
     choi = decomposition.choi_from_map
 

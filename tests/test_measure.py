@@ -120,8 +120,26 @@ def test_instrument_builds_its_induced_povm_once():
 
 def test_incomplete_instrument_names_the_total():
     ch = KrausChannel.from_ops([np.diag([1.0, 0.0])])
-    with pytest.raises(ValueError, match="instrument total trace: .*completeness residual"):
+    with pytest.raises(ValueError, match="^instrument's POVM completeness residual"):
         Instrument((("0", ch),))
+
+
+def test_an_empty_instrument_is_refused_by_its_povm():
+    for build in (lambda: Instrument(()), lambda: from_generalized([])):
+        with pytest.raises(ValueError, match="^instrument's POVM needs at least one outcome$"):
+            build()
+
+
+def test_a_duplicate_label_error_names_the_label():
+    half = Effect(np.eye(2) / 2)
+    with pytest.raises(ValueError, match=r"^POVM outcome labels must be unique \('b' repeats\)$"):
+        Povm((("a", half), ("b", Effect(np.zeros((2, 2)))), ("b", half)))
+    # "x·y" then "z", and "x" then "y·z", both fuse to "x·y·z".
+    first = luders_from_povm(Povm.from_effects(z_povm().effects, labels=["x·y", "x"]))
+    second = luders_from_povm(Povm.from_effects(x_povm().effects, labels=["z", "y·z"]))
+    with pytest.raises(ValueError, match=r"^instrument's POVM outcome labels must be unique "
+                                         r"\('x·y·z' repeats\)$"):
+        fuse_sequential(first, second)
 
 
 def test_induced_povm_of_luders_round_trips():
@@ -198,7 +216,7 @@ def test_from_generalized_identity_or_flip():
 
 
 def test_from_generalized_completeness_checked():
-    with pytest.raises(ValueError, match="incomplete"):
+    with pytest.raises(ValueError, match="^instrument's POVM completeness residual"):
         from_generalized([np.eye(2) / 2])
 
 
